@@ -87,7 +87,7 @@ func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
 		jobs[i] = runner.Job[*core.Result]{
 			Label: fmt.Sprintf("%s [%s]", title, p.label),
 			Fn: func(context.Context) (*core.Result, error) {
-				return core.Run(p.cfg, internalTrace(p.wl))
+				return core.Run(p.cfg, p.wl.tr)
 			},
 		}
 	}
@@ -300,41 +300,4 @@ func (e *Evaluator) AllAblations(ctx context.Context) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// AblationCoalesceGroup runs the coalescing-group sweep on a fresh
-// GOMAXPROCS-wide evaluator; the other package-level ablation functions
-// below are the same convenience wrappers for their methods.
-func AblationCoalesceGroup(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationCoalesceGroup(context.Background())
-}
-
-// AblationCXLGPerSwitch sweeps CXLG-DIMMs per switch.
-func AblationCXLGPerSwitch(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationCXLGPerSwitch(context.Background())
-}
-
-// AblationLinkBandwidth sweeps per-DIMM CXL link bandwidth.
-func AblationLinkBandwidth(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationLinkBandwidth(context.Background())
-}
-
-// AblationInFlight sweeps the task-scheduler queue depth.
-func AblationInFlight(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationInFlight(context.Background())
-}
-
-// AblationPoolScale sweeps the pool's switch count.
-func AblationPoolScale(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationPoolScale(context.Background())
-}
-
-// AblationRowPolicy compares row-buffer policies.
-func AblationRowPolicy(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationRowPolicy(context.Background())
-}
-
-// AllAblations runs every sweep and renders them.
-func AllAblations(rc RunConfig) (string, error) {
-	return NewEvaluator(rc, 0).AllAblations(context.Background())
 }

@@ -110,10 +110,11 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 		ptes += a.PageTableUpdates
 	}
 
-	rep, err := Simulate(p, w)
+	res, err := Run(p, w)
 	if err != nil {
 		return nil, err
 	}
+	rep := res.Report
 	for _, a := range granted {
 		if err := alloc.Deallocate(a.ID); err != nil {
 			return nil, err

@@ -13,8 +13,13 @@
 //     baseline, the MEDAL/NEST-style DDR-DIMM accelerators, or BEACON-D /
 //     BEACON-S with any subset of the paper's optimizations — with options
 //     for observability, fault injection and multi-tenant co-location.
-//   - Experiments: the Figure…/Table… functions in experiments.go regenerate
-//     every table and figure of the paper's evaluation section.
+//   - Experiments: an Evaluator (NewEvaluator) regenerates every table and
+//     figure of the paper's evaluation section — Figure3 … Figure17,
+//     OptimizationSummary and the ablation sweeps — over a bounded worker
+//     pool; RunEvaluation runs them all at once.
+//
+// RunSpec is the serializable form of one Run, shared by the CLIs and the
+// beaconsimd daemon.
 //
 // All simulation is deterministic: identical inputs produce identical cycle
 // counts.
@@ -23,8 +28,6 @@ package beacon
 import (
 	"fmt"
 
-	"beacon/internal/baseline"
-	"beacon/internal/core"
 	"beacon/internal/fmindex"
 	"beacon/internal/genome"
 	"beacon/internal/hashindex"
@@ -392,13 +395,3 @@ func NewWorkload(app Application, cfg WorkloadConfig) (*Workload, error) {
 	}
 	return nil, fmt.Errorf("%w: %v", ErrUnsupportedApp, app)
 }
-
-// internalTrace exposes a workload's trace to same-package harness code
-// (experiments, ablations) that drives the internal machines directly.
-func internalTrace(w *Workload) *trace.Workload { return w.tr }
-
-// Compile-time checks that the internal packages keep satisfying the facade.
-var (
-	_ = core.DefaultConfig
-	_ = baseline.DefaultDDRConfig
-)

@@ -1,9 +1,21 @@
 package beacon
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// mustRun replays w on p with opts and returns the report, failing the test
+// on error.
+func mustRun(tb testing.TB, p Platform, w *Workload, opts ...RunOption) *Report {
+	tb.Helper()
+	res, err := Run(p, w, opts...)
+	if err != nil {
+		tb.Fatalf("%v/%s: %v", p.Kind, w.Name, err)
+	}
+	return res.Report
+}
 
 func quickCfg(sp Species) WorkloadConfig {
 	cfg := DefaultWorkloadConfig(sp)
@@ -62,10 +74,7 @@ func TestSimulateAllPlatforms(t *testing.T) {
 	}
 	var reports []*Report
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
-		rep, err := Simulate(Platform{Kind: kind, Opts: AllOptimizations()}, wl)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+		rep := mustRun(t, Platform{Kind: kind, Opts: AllOptimizations()}, wl)
 		if rep.Cycles <= 0 || rep.Seconds <= 0 || rep.EnergyPJ <= 0 {
 			t.Errorf("%v: non-positive report %+v", kind, rep)
 		}
@@ -92,10 +101,10 @@ func TestSimulateAllPlatforms(t *testing.T) {
 
 func TestSimulateNilWorkload(t *testing.T) {
 	t.Parallel()
-	if _, err := Simulate(Platform{Kind: CPU}, nil); err == nil {
+	if _, err := Run(Platform{Kind: CPU}, nil); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := Simulate(Platform{Kind: PlatformKind(42)}, &Workload{}); err == nil {
+	if _, err := Run(Platform{Kind: PlatformKind(42)}, &Workload{}); err == nil {
 		t.Error("unknown platform accepted")
 	}
 }
@@ -106,14 +115,8 @@ func TestSimulateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
-	a, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
+	b := mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ {
 		t.Error("simulation is not deterministic")
 	}
@@ -167,7 +170,7 @@ func TestFigure3Quick(t *testing.T) {
 		t.Skip("short mode")
 	}
 	rc := QuickRunConfig()
-	fig, err := Figure3(rc)
+	fig, err := NewEvaluator(rc, 0).Figure3(context.Background())
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
@@ -189,7 +192,7 @@ func TestFigure13Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	fig, err := Figure13(QuickRunConfig())
+	fig, err := NewEvaluator(QuickRunConfig(), 0).Figure13(context.Background())
 	if err != nil {
 		t.Fatalf("Figure13: %v", err)
 	}
@@ -222,7 +225,5 @@ func TestMEMSeedingWorkload(t *testing.T) {
 	if wl.Steps == fixed.Steps {
 		t.Error("MEM and fixed-stride traces identical; mode likely ignored")
 	}
-	if _, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl); err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
+	mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 }

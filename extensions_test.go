@@ -13,10 +13,7 @@ func TestGraphWorkload(t *testing.T) {
 	if !wl.Verified || wl.App != GraphProcessing || wl.Tasks == 0 {
 		t.Errorf("workload = %+v", wl)
 	}
-	rep, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
+	rep := mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if rep.Cycles <= 0 {
 		t.Error("no cycles")
 	}
@@ -41,14 +38,8 @@ func TestDBSearchWorkload(t *testing.T) {
 	}
 	// Extension workloads must run faster on BEACON than the CPU model —
 	// the §V claim.
-	cpu, err := Simulate(Platform{Kind: CPU}, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpu := mustRun(t, Platform{Kind: CPU}, wl)
+	d := mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if d.Seconds >= cpu.Seconds {
 		t.Errorf("BEACON-D (%.2e s) not faster than CPU (%.2e s)", d.Seconds, cpu.Seconds)
 	}
@@ -70,10 +61,7 @@ func TestImageWorkload(t *testing.T) {
 	if !wl.Verified || wl.App != ImageProcessing || wl.Tasks != 64 {
 		t.Errorf("workload = %+v", wl)
 	}
-	rep, err := Simulate(Platform{Kind: BeaconS, Opts: AllOptimizations()}, wl)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
+	rep := mustRun(t, Platform{Kind: BeaconS, Opts: AllOptimizations()}, wl)
 	if rep.Cycles <= 0 {
 		t.Error("no cycles")
 	}

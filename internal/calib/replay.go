@@ -82,7 +82,7 @@ func pointSeed(seed uint64, p point) uint64 {
 // so the scheduler-equivalence guarantees of internal/sim extend to these
 // curves.
 func runPoint(cfg Config, p point) (Curve, error) {
-	eng := sim.NewEngineWithScheduler(cfg.Scheduler)
+	eng := sim.NewEngine()
 	// Livelock backstop: a request costs a bounded handful of events on
 	// every path (two for raw DRAM, ~a dozen hops for the pool paths).
 	eng.MaxEvents = uint64(cfg.Requests)*64 + 1024

@@ -15,18 +15,6 @@ import (
 	"beacon/internal/trace"
 )
 
-// DebugTaskEnd, when non-nil, receives every task's completion time (test
-// instrumentation).
-var DebugTaskEnd func(sim.Cycle)
-
-// DebugTaskEndOwner, when non-nil, receives every task's identity and
-// completion time (used by RunShared to attribute finishes to tenants).
-var DebugTaskEndOwner func(*trace.Task, sim.Cycle)
-
-// DebugStepTrace, when non-nil, receives (taskIndex, step, eventNow, peDone)
-// for every step issue (test instrumentation).
-var DebugStepTrace func(ti, step int, now, tc sim.Cycle)
-
 // Result is the outcome of replaying one workload on one machine.
 type Result struct {
 	// Cycles is the makespan in DRAM bus cycles.
@@ -86,6 +74,9 @@ type Machine struct {
 	ob          *obs.Obs
 	taskTracks  []obs.Track
 	stepLatency *obs.Histogram
+	// onTaskEnd, when non-nil, receives every finished task and its
+	// completion time; RunShared attributes finishes to tenants with it.
+	onTaskEnd func(*trace.Task, sim.Cycle)
 }
 
 // NewMachine builds the machine.
@@ -93,7 +84,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, engine: sim.NewEngineWithScheduler(cfg.Scheduler)}
+	m := &Machine{cfg: cfg, engine: sim.NewEngine()}
 	var err error
 	m.fabric, err = cxl.New(cfg.fabricConfig())
 	if err != nil {
@@ -502,11 +493,8 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 			if taskStart != nil {
 				m.ob.Tracer().Span(m.taskTracks[node], "task", int64(taskStart[task]), int64(now))
 			}
-			if DebugTaskEnd != nil {
-				DebugTaskEnd(now)
-			}
-			if DebugTaskEndOwner != nil {
-				DebugTaskEndOwner(task, now)
+			if m.onTaskEnd != nil {
+				m.onTaskEnd(task, now)
 			}
 			if onHost {
 				// The failed node's scheduler slot was already freed at
@@ -529,9 +517,6 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 				sim.Cycles(m.cfg.Faults.NDP.HostFallbackCycles+int(st.Compute)))
 		} else {
 			tc = m.modules[node].Compute(now, task.Engine, st)
-		}
-		if DebugStepTrace != nil {
-			DebugStepTrace(taskIndex(task, wl), step, now, tc)
 		}
 
 		home := m.homes[node]
@@ -672,20 +657,6 @@ func (m *Machine) aliveAfter(node int) int {
 		}
 	}
 	return -1
-}
-
-// taskIndex locates a task within its workload (debug only; O(1) via
-// pointer arithmetic is not portable, so linear scan is memoized by a map).
-var taskIndexMemo map[*trace.Task]int
-
-func taskIndex(task *trace.Task, wl *trace.Workload) int {
-	if taskIndexMemo == nil {
-		taskIndexMemo = map[*trace.Task]int{}
-		for i := range wl.Tasks {
-			taskIndexMemo[&wl.Tasks[i]] = i
-		}
-	}
-	return taskIndexMemo[task]
 }
 
 // Run is the package-level convenience: build a machine and replay.

@@ -97,20 +97,19 @@ func counts(owners []int, w int) int {
 }
 
 // runWithOwners is Run plus per-owner completion tracking via the
-// task-identity retire hook.
+// machine's task-end hook.
 func (m *Machine) runWithOwners(wl *trace.Workload, owners []int, nOwners int) (*Result, []sim.Cycle, error) {
 	ownerOf := make(map[*trace.Task]int, len(wl.Tasks))
 	for i := range wl.Tasks {
 		ownerOf[&wl.Tasks[i]] = owners[i]
 	}
 	ends := make([]sim.Cycle, nOwners)
-	prev := DebugTaskEndOwner
-	DebugTaskEndOwner = func(task *trace.Task, at sim.Cycle) {
+	m.onTaskEnd = func(task *trace.Task, at sim.Cycle) {
 		if o, ok := ownerOf[task]; ok && at > ends[o] {
 			ends[o] = at
 		}
 	}
-	defer func() { DebugTaskEndOwner = prev }()
+	defer func() { m.onTaskEnd = nil }()
 	res, err := m.Run(wl)
 	if err != nil {
 		return nil, nil, err

@@ -236,6 +236,20 @@ func (a *Accountant) TrackDirect(class, name string, width int) *Span {
 	return s
 }
 
+// freeze folds every span's polled sources into its direct counts and
+// drops the source functions, releasing the components they capture.
+func (a *Accountant) freeze() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, s := range a.spans {
+		s.busy, s.stall, s.wait = s.BusyCycles(), s.StallCycles(), s.WaitCycles()
+		s.busyFn, s.stallFn, s.waitFn = nil, nil, nil
+	}
+}
+
 // Spans returns the tracked spans ordered by (class, name) — never by
 // registration timing, so concurrent instrumentation cannot reorder
 // output.

@@ -84,13 +84,19 @@ func (o *Obs) MaybeSample(cycle int64) {
 	o.next = (cycle/o.SampleEvery + 1) * o.SampleEvery
 }
 
-// Sample forces a snapshot at the given cycle (machines call this once at
-// end of run so even SampleEvery==0 yields a final snapshot).
+// Sample forces the end-of-run snapshot at the given cycle (machines call
+// this once when the run completes, so even SampleEvery==0 yields a final
+// snapshot). It also freezes every gauge and accountant span at the value
+// it just recorded: their polled functions capture the simulated machine's
+// components, and an Obs kept after its run (a daemon's finished job)
+// would otherwise keep the whole machine alive. Later snapshots repeat the
+// frozen values.
 func (o *Obs) Sample(cycle int64) {
 	if o == nil {
 		return
 	}
-	o.Metrics.Snapshot(cycle)
+	o.Metrics.snapshot(cycle, true)
+	o.Acct.freeze()
 }
 
 // Collection aggregates per-job Obs instances for a multi-simulation run

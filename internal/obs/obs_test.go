@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,42 @@ func TestMaybeSampleDisabled(t *testing.T) {
 	o.Sample(300) // forced end-of-run snapshot still works
 	if len(o.Metrics.Snapshots()) != 1 {
 		t.Fatal("forced Sample must snapshot")
+	}
+}
+
+// TestSampleReleasesPolledCaptures pins that the end-of-run snapshot drops
+// every polled function, so an Obs kept after its run (a daemon's finished
+// job) no longer keeps alive the components its gauges and spans read.
+// The frozen values still appear in later snapshots.
+func TestSampleReleasesPolledCaptures(t *testing.T) {
+	o := New("job")
+	released := make(chan string, 2)
+	func() {
+		gauged := &[4]int64{7}
+		runtime.SetFinalizer(gauged, func(*[4]int64) { released <- "gauge" })
+		o.Metrics.Gauge("g", func() float64 { return float64(gauged[0]) })
+		metered := &[4]int64{3}
+		runtime.SetFinalizer(metered, func(*[4]int64) { released <- "span" })
+		o.Accountant().Track(Meter{Class: ClassPE, Name: "pe0", Width: 1,
+			Busy: func() int64 { return metered[0] }})
+	}()
+	o.Sample(100)
+
+	deadline := time.After(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-released:
+			got++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of 2 captured objects still reachable after the final Sample", got)
+		}
+	}
+	o.Metrics.Snapshot(200)
+	later := o.Metrics.Snapshots()[1].Values
+	if later["g"] != 7 || later["util.pe.pe0.busy_cycles"] != 3 {
+		t.Errorf("frozen values lost: %v", later)
 	}
 }
 

@@ -215,7 +215,12 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Snapshot records the current value of every counter and gauge at the
 // given simulated cycle, appending to the registry's time series.
-func (r *Registry) Snapshot(cycle int64) {
+func (r *Registry) Snapshot(cycle int64) { r.snapshot(cycle, false) }
+
+// snapshot is Snapshot; with freeze set it also replaces every gauge by a
+// constant of the value just recorded, so the registry stops referencing
+// whatever the polled functions captured.
+func (r *Registry) snapshot(cycle int64, freeze bool) {
 	if r == nil {
 		return
 	}
@@ -226,7 +231,11 @@ func (r *Registry) Snapshot(cycle int64) {
 		vals[name] = float64(c.Value())
 	}
 	for name, fn := range r.gauges {
-		vals[name] = fn()
+		v := fn()
+		vals[name] = v
+		if freeze {
+			r.gauges[name] = func() float64 { return v }
+		}
 	}
 	r.series = append(r.series, Snapshot{Cycle: cycle, Values: vals})
 }

@@ -454,13 +454,18 @@ func TestSubmitRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	m["workload"].(map[string]any)["species"] = "Pt"
-	m["version"] = 7
-	bumped, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := post(string(bumped)); got != http.StatusBadRequest {
-		t.Errorf("future version = %d, want 400", got)
+	for _, version := range []int{7, 1} {
+		m["version"] = version
+		if version == 1 {
+			m["scheduler"] = "calendar" // the field version 2 dropped
+		}
+		other, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := post(string(other)); got != http.StatusBadRequest {
+			t.Errorf("version %d = %d, want 400", version, got)
+		}
 	}
 }
 

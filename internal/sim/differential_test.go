@@ -3,7 +3,8 @@ package sim
 // Differential scheduler-equivalence suite.
 //
 // The calendar queue replaced the binary heap as the Engine's pending-event
-// queue; the heap stays compiled in as the reference implementation. This
+// queue; the heap stays in this package's tests (heap_test.go) as the
+// reference implementation. This
 // file drives both through identical scripted workloads — same-cycle ties,
 // re-entrant scheduling from inside events, RunUntil resume boundaries,
 // MaxEvents aborts, past-schedule violations, far-future (overflow-tier)
@@ -20,9 +21,9 @@ import (
 )
 
 // runScript interprets a byte-encoded scheduling workload on a fresh engine
-// with the given scheduler kind and returns the full observable record. The
-// interpretation is a pure function of (kind, script); the differential
-// suite asserts the record is independent of kind.
+// from newEngine and returns the full observable record. The interpretation
+// is a pure function of (scheduler, script); the differential suite asserts
+// the record is independent of the scheduler.
 //
 // Script encoding: a sequence of instructions, each an opcode byte (mod 10)
 // followed by up to two u16 little-endian operands (missing bytes read as
@@ -39,9 +40,9 @@ import (
 //	7: MaxEvents = Executed() + a%64 + 1 (tight livelock bound)
 //	8: Reset()
 //	9: schedule one event at Never
-func runScript(kind SchedulerKind, script []byte) []string {
+func runScript(newEngine func() *Engine, script []byte) []string {
 	var log []string
-	e := NewEngineWithScheduler(kind)
+	e := newEngine()
 	e.OnAdvance = func(now Cycle) {
 		log = append(log, fmt.Sprintf("adv@%d", now))
 	}
@@ -135,8 +136,8 @@ func runScript(kind SchedulerKind, script []byte) []string {
 // diffSchedulers runs the script under both schedulers and returns the two
 // records plus the first line where they diverge (-1 when identical).
 func diffSchedulers(script []byte) (heap, cal []string, divergence int) {
-	heap = runScript(SchedulerHeap, script)
-	cal = runScript(SchedulerCalendar, script)
+	heap = runScript(newHeapEngine, script)
+	cal = runScript(NewEngine, script)
 	n := len(heap)
 	if len(cal) < n {
 		n = len(cal)
@@ -312,35 +313,12 @@ func TestSchedulerEquivalenceRandomized(t *testing.T) {
 // scripted case, neither scheduler ever executes a past-scheduled event.
 func TestSchedulerEquivalenceViolationNeverDispatches(t *testing.T) {
 	for _, tc := range scriptedCases {
-		for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-			for _, line := range runScript(kind, tc.script) {
+		for i, newEngine := range []func() *Engine{newHeapEngine, NewEngine} {
+			for _, line := range runScript(newEngine, tc.script) {
 				if strings.Contains(line, "must never appear") {
-					t.Errorf("%s/%v executed a past-scheduled event", tc.name, kind)
+					t.Errorf("%s/%s executed a past-scheduled event", tc.name, []string{"heap", "calendar"}[i])
 				}
 			}
 		}
-	}
-}
-
-// TestSchedulerKindNames pins the kind <-> name mapping used by CLI flags
-// and configs.
-func TestSchedulerKindNames(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-	}{{"calendar", SchedulerCalendar}, {"", SchedulerCalendar}, {"heap", SchedulerHeap}} {
-		got, err := ParseSchedulerKind(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSchedulerKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseSchedulerKind("splay"); err == nil {
-		t.Error("ParseSchedulerKind accepted an unknown scheduler")
-	}
-	if SchedulerCalendar.String() != "calendar" || SchedulerHeap.String() != "heap" {
-		t.Errorf("String() = %q, %q", SchedulerCalendar, SchedulerHeap)
-	}
-	if s := SchedulerKind(9).String(); s != "scheduler(9)" {
-		t.Errorf("unknown kind String() = %q", s)
 	}
 }

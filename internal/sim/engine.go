@@ -9,10 +9,10 @@
 // produce identical cycle counts — so all iteration orders are defined and no
 // map iteration ever reaches a scheduling decision.
 //
-// Two pending-event queues implement the contract (see scheduler.go): the
-// default calendar queue (calendar.go) and the reference binary heap
-// (heap.go). The differential suite in this package proves them
-// event-for-event identical; which one runs is a pure performance choice.
+// The pending-event queue is a calendar queue (calendar.go). The original
+// binary heap survives as a test-only reference (heap_test.go), and the
+// differential suite in this package proves the two event-for-event
+// identical.
 package sim
 
 import (
@@ -59,18 +59,10 @@ type Engine struct {
 	err error
 }
 
-// NewEngine returns an engine with the clock at cycle 0, using the default
+// NewEngine returns an engine with the clock at cycle 0 and an empty
 // calendar-queue scheduler.
 func NewEngine() *Engine {
-	return NewEngineWithScheduler(SchedulerCalendar)
-}
-
-// NewEngineWithScheduler returns an engine with the clock at cycle 0 using
-// the given pending-event queue implementation. Every kind produces the
-// identical dispatch sequence; SchedulerHeap exists as the reference for
-// differential testing.
-func NewEngineWithScheduler(k SchedulerKind) *Engine {
-	return &Engine{sched: newScheduler(k)}
+	return &Engine{sched: newCalendarScheduler()}
 }
 
 // mustInit panics when the engine was not built by NewEngine.

@@ -3,13 +3,17 @@ package sim
 import "container/heap"
 
 // heapScheduler is the original binary-heap pending-event queue, retained
-// as the reference implementation for the calendar queue's differential
-// suite. One heap node is allocated per event and every push/pop costs
-// O(log n) comparisons; correctness is carried entirely by the standard
-// library's container/heap and the (at, seq) ordering below.
+// in this package's tests as the reference implementation for the calendar
+// queue's differential suite and engine benchmark. One heap node is
+// allocated per event and every push/pop costs O(log n) comparisons;
+// correctness is carried entirely by the standard library's container/heap
+// and the (at, seq) ordering below.
 type heapScheduler struct {
 	events eventHeap
 }
+
+// newHeapEngine returns an engine running the reference heap scheduler.
+func newHeapEngine() *Engine { return &Engine{sched: &heapScheduler{}} }
 
 type event struct {
 	at  Cycle

@@ -27,15 +27,9 @@ func TestObservabilityDeterminism(t *testing.T) {
 	col.SampleEvery = 500 // aggressive cadence: many OnAdvance snapshots
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
 		p := Platform{Kind: kind, Opts: AllOptimizations()}
-		bare, err := Simulate(p, wl)
-		if err != nil {
-			t.Fatalf("%v bare: %v", kind, err)
-		}
+		bare := mustRun(t, p, wl)
 		ob := col.New(kind.String())
-		observed, err := SimulateObserved(p, wl, ob)
-		if err != nil {
-			t.Fatalf("%v observed: %v", kind, err)
-		}
+		observed := mustRun(t, p, wl, WithObserver(ob))
 		if bare.Cycles != observed.Cycles {
 			t.Errorf("%v: observability moved the clock: %d vs %d cycles",
 				kind, bare.Cycles, observed.Cycles)
@@ -95,9 +89,7 @@ func TestObservedRunsAreRepeatable(t *testing.T) {
 	dump := func() (string, string) {
 		ob := obs.New("run")
 		ob.SampleEvery = 1000
-		if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob))
 		var m, tr strings.Builder
 		if err := ob.Metrics.WriteJSON(&m); err != nil {
 			t.Fatal(err)

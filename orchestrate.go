@@ -45,10 +45,6 @@ type Evaluator struct {
 	faultSeed uint64
 	faultMu   sync.Mutex
 	faultAgg  map[PlatformKind]FaultStats
-	// sched selects the event engine's pending-event queue for every
-	// simulation job (zero = calendar). Reports are byte-identical across
-	// kinds, so this never changes a figure.
-	sched SchedulerKind
 }
 
 // NewEvaluator returns an evaluator running rc's scale on a pool of the
@@ -97,15 +93,6 @@ func (e *Evaluator) WithFaults(prof FaultProfile, seed uint64) *Evaluator {
 	if prof.Enabled() {
 		e.faultAgg = make(map[PlatformKind]FaultStats)
 	}
-	return e
-}
-
-// WithScheduler selects the event engine's pending-event queue for every
-// subsequent simulation job. Reports are byte-identical across kinds (see
-// WithScheduler in run.go), so this never changes a figure. It returns the
-// evaluator for chaining.
-func (e *Evaluator) WithScheduler(k SchedulerKind) *Evaluator {
-	e.sched = k
 	return e
 }
 
@@ -174,8 +161,10 @@ func (e *Evaluator) context(ctx context.Context) (context.Context, context.Cance
 	return context.WithCancel(ctx)
 }
 
-// workload returns the cached workload for (app, sp, flow), applying the
-// same per-application adjustments as RunConfig.buildWorkload.
+// workload returns the cached workload for (app, sp, flow). Hash seeding
+// issues ~6x fewer memory steps per read than FM seeding, so its read count
+// is doubled to keep the timing runs in the same throughput-bound regime as
+// the other applications.
 func (e *Evaluator) workload(app Application, sp Species, flow KmerFlow) (*Workload, error) {
 	cfg := e.rc.workloadConfig(sp)
 	cfg.Flow = flow
@@ -200,8 +189,7 @@ func (e *Evaluator) simJob(app Application, sp Species, flow KmerFlow, p Platfor
 			}
 			res, err := Run(p, wl,
 				WithObserver(e.obsCol.New(label)),
-				WithFaultInjection(e.faults, e.faultSeed),
-				WithScheduler(e.sched))
+				WithFaultInjection(e.faults, e.faultSeed))
 			if err != nil {
 				return nil, err
 			}
@@ -353,13 +341,13 @@ func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
 	}
 	rows = append(rows, rowSpec{KmerCounting, Human})
 
-	// Per-row job layout: [real, ideal].
+	// Per-row job layout: [real, ideal]. The DDR baselines (NEST for k-mer
+	// counting) always count multi-pass.
 	jobs := make([]runner.Job[*Report], 0, 2*len(rows))
 	for _, r := range rows {
-		flow := baselineFlow(r.app)
 		jobs = append(jobs,
-			e.simJob(r.app, r.sp, flow, Platform{Kind: DDRBaseline}, "real"),
-			e.simJob(r.app, r.sp, flow, Platform{Kind: DDRBaseline, Opts: Options{IdealComm: true}}, "ideal"))
+			e.simJob(r.app, r.sp, MultiPass, Platform{Kind: DDRBaseline}, "real"),
+			e.simJob(r.app, r.sp, MultiPass, Platform{Kind: DDRBaseline, Opts: Options{IdealComm: true}}, "ideal"))
 	}
 	reports, err := runner.Run(ctx, e.pool, jobs)
 	if err != nil {
@@ -555,10 +543,6 @@ type EvalOptions struct {
 	// WorkloadCache, when non-nil, backs workload construction with the
 	// on-disk content-addressed cache. Results are identical either way.
 	WorkloadCache *WorkloadCache
-	// Scheduler selects the event engine's pending-event queue for every
-	// simulation job (zero = calendar). Results are byte-identical across
-	// kinds; the heap kind exists for differential cross-checks.
-	Scheduler SchedulerKind
 }
 
 // Evaluation holds every table and figure of the paper's evaluation
@@ -592,8 +576,7 @@ func RunEvaluation(ctx context.Context, rc RunConfig, opts EvalOptions) (*Evalua
 	e := NewEvaluator(rc, opts.Jobs).WithTimeout(opts.Timeout).
 		WithObservability(opts.Obs).WithProgress(opts.Progress).
 		WithFaults(opts.Faults, opts.FaultSeed).
-		WithWorkloadCache(opts.WorkloadCache).
-		WithScheduler(opts.Scheduler)
+		WithWorkloadCache(opts.WorkloadCache)
 	ctx, cancel := e.context(ctx)
 	defer cancel()
 	// The evaluator's per-figure timeout is already applied to ctx here;

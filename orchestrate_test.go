@@ -23,14 +23,8 @@ func TestDeterminismGolden(t *testing.T) {
 	}
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
 		p := Platform{Kind: kind, Opts: AllOptimizations()}
-		a, err := Simulate(p, wl)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		b, err := Simulate(p, wl)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+		a := mustRun(t, p, wl)
+		b := mustRun(t, p, wl)
 		if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ {
 			t.Errorf("%v: cycles/energy differ across identical runs: %d/%g vs %d/%g",
 				kind, a.Cycles, a.EnergyPJ, b.Cycles, b.EnergyPJ)
@@ -130,7 +124,7 @@ func TestWorkloadCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := e.rc.buildWorkload(KmerCounting, Human, MultiPass)
+	fresh, err := NewWorkload(KmerCounting, e.rc.workloadConfig(Human))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +132,8 @@ func TestWorkloadCache(t *testing.T) {
 		cached.Steps != fresh.Steps || cached.FootprintBytes != fresh.FootprintBytes {
 		t.Errorf("cached workload differs from fresh build: %+v vs %+v", cached, fresh)
 	}
-	a, err := Simulate(Platform{Kind: BeaconS}, cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(Platform{Kind: BeaconS}, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, Platform{Kind: BeaconS}, cached)
+	b := mustRun(t, Platform{Kind: BeaconS}, fresh)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("cached and fresh workloads simulate differently")
 	}

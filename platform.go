@@ -20,24 +20,6 @@ type FaultProfile = fault.Profile
 // FaultStats counts injected faults and recovery actions.
 type FaultStats = fault.Stats
 
-// SchedulerKind selects the event engine's pending-event queue
-// implementation (see internal/sim): the calendar queue (the zero value and
-// the fast default) or the reference binary heap kept for differential
-// testing. Every kind produces the identical dispatch sequence — and
-// therefore byte-identical reports — so choosing one is a pure performance
-// decision.
-type SchedulerKind = sim.SchedulerKind
-
-// The scheduler kinds.
-const (
-	SchedulerCalendar = sim.SchedulerCalendar
-	SchedulerHeap     = sim.SchedulerHeap
-)
-
-// ParseSchedulerKind parses a scheduler name: "calendar" (also ""), or
-// "heap".
-func ParseSchedulerKind(s string) (SchedulerKind, error) { return sim.ParseSchedulerKind(s) }
-
 // DefaultFaultProfile returns the moderate fault-rate profile.
 func DefaultFaultProfile() FaultProfile { return fault.DefaultProfile() }
 
@@ -132,10 +114,6 @@ type Platform struct {
 	Faults FaultProfile
 	// FaultSeed seeds the per-component fault streams.
 	FaultSeed uint64
-	// Scheduler selects the event engine's pending-event queue (zero value
-	// = calendar queue). Reports are byte-identical across kinds. The CPU
-	// baseline is analytic and has no event engine.
-	Scheduler SchedulerKind
 }
 
 // Report summarizes one simulation.
@@ -186,31 +164,6 @@ func (r *Report) EnergyReductionOver(other *Report) float64 {
 	return stats.Speedup(other.EnergyPJ, r.EnergyPJ)
 }
 
-// Simulate replays the workload on the platform. It is Run with no
-// options, returning the Report directly.
-func Simulate(p Platform, w *Workload) (*Report, error) {
-	res, err := Run(p, w)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
-// SimulateObserved replays the workload on the platform with the
-// observability layer attached: component metrics, activity spans and
-// snapshot series accumulate in ob. A nil ob disables instrumentation
-// entirely (Simulate is exactly this with ob == nil). Instrumentation is
-// observation-only — the returned Report is byte-identical either way. The
-// CPU platform is an analytic model with no simulated timeline, so it
-// records nothing. It is Run with WithObserver(ob).
-func SimulateObserved(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
-	res, err := Run(p, w, WithObserver(ob))
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // simulateOne is the single-tenant simulation behind Run.
 func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 	if w == nil || w.tr == nil {
@@ -237,7 +190,6 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		}
 		cfg.IdealComm = p.Opts.IdealComm
 		cfg.Obs = ob
-		cfg.Scheduler = p.Scheduler
 		res, err := baseline.RunDDR(cfg, w.tr)
 		if err != nil {
 			return nil, err
@@ -263,7 +215,6 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		cfg.Obs = ob
 		cfg.Faults = p.Faults
 		cfg.FaultSeed = p.FaultSeed
-		cfg.Scheduler = p.Scheduler
 		res, err := core.Run(cfg, w.tr)
 		if err != nil {
 			return nil, err
@@ -286,16 +237,6 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 	return nil, fmt.Errorf("beacon: unknown platform %d", int(p.Kind))
 }
 
-// SharedReport summarizes a multi-tenant (co-located) run — the §II memory
-// pooling scenario: several workloads sharing one pool's DIMMs, fabric and
-// NDP modules.
-type SharedReport struct {
-	// Combined is the whole run (its fields aggregate all tenants).
-	Combined Report
-	// Tenants lists each workload's own completion.
-	Tenants []TenantReport
-}
-
 // TenantReport is one workload's share of a co-located run.
 type TenantReport struct {
 	Workload string
@@ -303,23 +244,10 @@ type TenantReport struct {
 	Tasks    int
 }
 
-// SimulateShared replays several workloads concurrently on one BEACON
-// platform (BeaconD or BeaconS). Their tasks interleave in the task
-// schedulers and contend for the same fabric and DRAM. It is Run with
-// WithCoRun(wls[1:]...).
-func SimulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
-	if len(wls) == 0 {
-		return nil, fmt.Errorf("beacon: shared run needs at least one workload")
-	}
-	res, err := Run(p, wls[0], WithCoRun(wls[1:]...))
-	if err != nil {
-		return nil, err
-	}
-	return &SharedReport{Combined: *res.Report, Tenants: res.Tenants}, nil
-}
-
-// simulateShared is the multi-tenant simulation behind Run.
-func simulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
+// simulateShared is the multi-tenant simulation behind Run: the workloads'
+// tasks interleave in the task schedulers of one BEACON pool and contend
+// for the same fabric and DRAM.
+func simulateShared(p Platform, wls []*Workload) (*RunResult, error) {
 	if p.Kind != BeaconD && p.Kind != BeaconS {
 		return nil, fmt.Errorf("beacon: shared runs require a BEACON platform, got %v", p.Kind)
 	}
@@ -336,14 +264,12 @@ func simulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
 		traces = append(traces, w.tr)
 		names[i] = w.Name
 	}
-	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
-	cfg.Scheduler = p.Scheduler
-	res, err := core.RunShared(cfg, traces)
+	res, err := core.RunShared(core.DefaultConfig(design, p.Opts.coreOpts()), traces)
 	if err != nil {
 		return nil, err
 	}
-	out := &SharedReport{
-		Combined: Report{
+	out := &RunResult{
+		Report: &Report{
 			Platform:        p,
 			Workload:        "shared",
 			Cycles:          int64(res.Combined.Cycles),

@@ -18,9 +18,7 @@ func profileFor(t *testing.T, kind PlatformKind) obs.Profile {
 	}
 	ob := obs.New(kind.String())
 	ob.SampleEvery = 100_000
-	if _, err := SimulateObserved(Platform{Kind: kind, Opts: AllOptimizations()}, wl, ob); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Platform{Kind: kind, Opts: AllOptimizations()}, wl, WithObserver(ob))
 	return obs.NewProfile(ob.Metrics.Snapshots())
 }
 
@@ -74,9 +72,7 @@ func TestProfileDiffSelfIsEmpty(t *testing.T) {
 		col := obs.NewCollection()
 		col.SampleEvery = 100_000
 		ob := col.New("fm-seeding/Pt/beacon-d")
-		if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob))
 		d := col.Dump()
 		return &d
 	}
@@ -97,9 +93,7 @@ func TestOpenMetricsExportOfRealRun(t *testing.T) {
 	}
 	col := obs.NewCollection()
 	ob := col.New("fm-seeding/Pt/beacon-d")
-	if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob))
 	var b strings.Builder
 	if err := col.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 // RunSpecVersion is the wire version of the RunSpec serialization. Bump it
 // whenever the JSON shape or the canonical encoding changes incompatibly;
 // decoders reject every other version, so a daemon and its clients can
-// never silently disagree about what a spec means.
-const RunSpecVersion = 1
+// never silently disagree about what a spec means. Version 2 dropped the
+// event-scheduler field of version 1.
+const RunSpecVersion = 2
 
 // WorkloadSpec names one workload to construct: the application plus its
 // full configuration. It is the declarative counterpart of NewWorkload —
@@ -29,8 +30,7 @@ type WorkloadSpec struct {
 
 // RunSpec is the versioned, serializable description of one simulation
 // run: what to build (workload + co-run set) and where to replay it
-// (platform, optimization ladder position, fault profile and seed, event
-// scheduler). It is the single construction path behind the CLIs and the
+// (platform, optimization ladder position, fault profile and seed). It is the single construction path behind the CLIs and the
 // beaconsimd daemon: flag sets and HTTP bodies both compile down to a
 // RunSpec, Execute turns it into a RunResult, and CanonicalHash gives it a
 // stable content address for job IDs and cache keys.
@@ -54,22 +54,17 @@ type RunSpec struct {
 	Faults string
 	// FaultSeed seeds the deterministic per-component fault streams.
 	FaultSeed uint64
-	// Scheduler names the event engine's pending-event queue ("calendar",
-	// "heap"; "" means "calendar").
-	Scheduler string
 }
 
 // NewRunSpec returns a runnable spec for the given workload on the default
-// platform: BEACON-D with the full optimization stack, no faults, the
-// calendar-queue scheduler.
+// platform: BEACON-D with the full optimization stack and no faults.
 func NewRunSpec(app Application, cfg WorkloadConfig) RunSpec {
 	return RunSpec{
-		Version:   RunSpecVersion,
-		Workload:  WorkloadSpec{App: app, Config: cfg},
-		Kind:      BeaconD,
-		Opts:      AllOptimizations(),
-		Faults:    "off",
-		Scheduler: "calendar",
+		Version:  RunSpecVersion,
+		Workload: WorkloadSpec{App: app, Config: cfg},
+		Kind:     BeaconD,
+		Opts:     AllOptimizations(),
+		Faults:   "off",
 	}
 }
 
@@ -131,15 +126,6 @@ func canonicalFaultsName(s string) string {
 	return s
 }
 
-// canonicalSchedulerName normalizes the scheduler spelling ("" is the
-// calendar default).
-func canonicalSchedulerName(s string) string {
-	if s == "" {
-		return "calendar"
-	}
-	return s
-}
-
 // Compile-time guards: the unkeyed literals fail to compile whenever a
 // spec-carrying struct gains or loses a field, forcing the canonical
 // encoding below (and its golden test) to be revisited. Stale cache hits
@@ -148,7 +134,7 @@ func canonicalSchedulerName(s string) string {
 var (
 	_ = WorkloadConfig{"", 0, 0, 0, 0, 0, 0, 0, false, 0, 0, MultiPass, 0, 0}
 	_ = Options{false, false, false, false, false}
-	_ = RunSpec{0, WorkloadSpec{}, nil, 0, Options{}, "", 0, ""}
+	_ = RunSpec{0, WorkloadSpec{}, nil, 0, Options{}, "", 0}
 )
 
 // canonicalFields enumerates every WorkloadSpec field as key=value pairs.
@@ -216,7 +202,7 @@ func (ws WorkloadSpec) validate() error {
 
 // CanonicalString renders the whole spec as a stable key=value enumeration:
 // version, every workload field, every platform knob, the normalized fault
-// and scheduler names, and the co-run set in order. Two specs share the
+// name, and the co-run set in order. Two specs share the
 // string exactly when Execute would produce byte-identical results from
 // byte-identical construction work.
 func (s RunSpec) CanonicalString() string {
@@ -232,7 +218,6 @@ func (s RunSpec) CanonicalString() string {
 		"ideal="+strconv.FormatBool(s.Opts.IdealComm),
 		"faults="+canonicalFaultsName(s.Faults),
 		"faultseed="+strconv.FormatUint(s.FaultSeed, 10),
-		"scheduler="+canonicalSchedulerName(s.Scheduler),
 		"corun="+strconv.Itoa(len(s.CoRun)),
 	)
 	for i, c := range s.CoRun {
@@ -250,8 +235,8 @@ func (s RunSpec) CanonicalHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Platform resolves the spec's platform half: kind, optimization options,
-// parsed fault profile and scheduler kind. It does not validate the
+// Platform resolves the spec's platform half: kind, optimization options
+// and parsed fault profile. It does not validate the
 // workload half (Validate does both).
 func (s RunSpec) Platform() (Platform, error) {
 	switch s.Kind {
@@ -263,16 +248,11 @@ func (s RunSpec) Platform() (Platform, error) {
 	if err != nil {
 		return Platform{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	sched, err := ParseSchedulerKind(canonicalSchedulerName(s.Scheduler))
-	if err != nil {
-		return Platform{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
 	return Platform{
 		Kind:      s.Kind,
 		Opts:      s.Opts,
 		Faults:    prof,
 		FaultSeed: s.FaultSeed,
-		Scheduler: sched,
 	}, nil
 }
 
@@ -281,9 +261,8 @@ func (s RunSpec) Platform() (Platform, error) {
 // co-run set. Failures wrap the sentinel errors, so HTTPStatus maps them
 // directly onto API status codes.
 func (s RunSpec) Validate() error {
-	if s.Version != RunSpecVersion {
-		return fmt.Errorf("%w: unsupported runspec version %d (this build speaks version %d)",
-			ErrBadConfig, s.Version, RunSpecVersion)
+	if err := checkRunSpecVersion(s.Version); err != nil {
+		return err
 	}
 	if err := s.Workload.validate(); err != nil {
 		return err
@@ -370,7 +349,6 @@ type runSpecWire struct {
 	Options   optionsWire    `json:"options"`
 	Faults    string         `json:"faults"`
 	FaultSeed uint64         `json:"fault_seed"`
-	Scheduler string         `json:"scheduler"`
 }
 
 func workloadToWire(ws WorkloadSpec) workloadWire {
@@ -424,8 +402,8 @@ func workloadFromWire(w workloadWire) (WorkloadSpec, error) {
 	}, nil
 }
 
-// MarshalJSON renders the spec in its versioned wire form with normalized
-// fault and scheduler names, so marshaling is a canonicalizing operation:
+// MarshalJSON renders the spec in its versioned wire form with a normalized
+// fault name, so marshaling is a canonicalizing operation:
 // unmarshal(marshal(s)) compares equal for any valid s.
 func (s RunSpec) MarshalJSON() ([]byte, error) {
 	w := runSpecWire{
@@ -434,7 +412,6 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 		Platform:  s.Kind.String(),
 		Faults:    canonicalFaultsName(s.Faults),
 		FaultSeed: s.FaultSeed,
-		Scheduler: canonicalSchedulerName(s.Scheduler),
 		Options: optionsWire{
 			DataPacking:  s.Opts.DataPacking,
 			MemAccessOpt: s.Opts.MemAccessOpt,
@@ -452,8 +429,18 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes the versioned wire form strictly: unknown fields,
 // trailing data, unknown enum names and any version other than
 // RunSpecVersion are rejected (wrapping ErrBadConfig / ErrUnsupportedApp),
-// so a daemon never half-understands a client's spec.
+// so a daemon never half-understands a client's spec. The version is read
+// first, so a body of another version (a v1 body with its "scheduler" key,
+// say) gets the version error rather than an unknown-field one.
 func (s *RunSpec) UnmarshalJSON(data []byte) error {
+	var v struct {
+		Version int `json:"version"`
+	}
+	if json.Unmarshal(data, &v) == nil {
+		if err := checkRunSpecVersion(v.Version); err != nil {
+			return err
+		}
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var w runSpecWire
@@ -462,10 +449,6 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 	}
 	if dec.More() {
 		return fmt.Errorf("%w: runspec: trailing data after spec", ErrBadConfig)
-	}
-	if w.Version != RunSpecVersion {
-		return fmt.Errorf("%w: unsupported runspec version %d (this build speaks version %d)",
-			ErrBadConfig, w.Version, RunSpecVersion)
 	}
 	ws, err := workloadFromWire(w.Workload)
 	if err != nil {
@@ -481,7 +464,6 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 		Kind:      kind,
 		Faults:    canonicalFaultsName(w.Faults),
 		FaultSeed: w.FaultSeed,
-		Scheduler: canonicalSchedulerName(w.Scheduler),
 		Opts: Options{
 			DataPacking:  w.Options.DataPacking,
 			MemAccessOpt: w.Options.MemAccessOpt,
@@ -498,6 +480,15 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 		out.CoRun = append(out.CoRun, cs)
 	}
 	*s = out
+	return nil
+}
+
+// checkRunSpecVersion rejects every version but RunSpecVersion.
+func checkRunSpecVersion(v int) error {
+	if v != RunSpecVersion {
+		return fmt.Errorf("%w: unsupported runspec version %d (this build speaks version %d)",
+			ErrBadConfig, v, RunSpecVersion)
+	}
 	return nil
 }
 

@@ -46,14 +46,8 @@ func TestWorkloadCacheDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(cold.tr, warm.tr) {
 			t.Fatalf("%v: decoded trace differs from cold build", app)
 		}
-		a, err := Simulate(p, cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Simulate(p, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustRun(t, p, cold)
+		b := mustRun(t, p, warm)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: cache-hit report differs from cold report:\n%+v\nvs\n%+v", app, a, b)
 		}
@@ -161,8 +155,9 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestRunEquivalence pins that the three legacy entry points are exactly
-// Run with the corresponding options.
+// TestRunEquivalence pins Run's option forms: a bare run carries no
+// tenants, WithFaultInjection equals the Platform fault fields, and
+// WithCoRun reports every tenant in order.
 func TestRunEquivalence(t *testing.T) {
 	t.Parallel()
 	wl, err := NewFMSeedingWorkload(quickCfg(PinusTaeda))
@@ -171,16 +166,9 @@ func TestRunEquivalence(t *testing.T) {
 	}
 	p := Platform{Kind: BeaconD, Opts: AllOptimizations()}
 
-	legacy, err := Simulate(p, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(p, wl)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, res.Report) {
-		t.Error("Run differs from Simulate")
 	}
 	if res.Tenants != nil {
 		t.Error("single-tenant Run reported tenants")
@@ -190,10 +178,7 @@ func TestRunEquivalence(t *testing.T) {
 	pf := p
 	pf.Faults = DefaultFaultProfile()
 	pf.FaultSeed = 7
-	viaPlatform, err := Simulate(pf, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaPlatform := mustRun(t, pf, wl)
 	viaOption, err := Run(p, wl, WithFaultInjection(DefaultFaultProfile(), 7))
 	if err != nil {
 		t.Fatal(err)
@@ -202,24 +187,18 @@ func TestRunEquivalence(t *testing.T) {
 		t.Error("WithFaultInjection differs from Platform.Faults")
 	}
 
-	// Co-location == SimulateShared.
+	// Co-location: one combined report plus each tenant, in order.
 	second, err := NewPreAlignmentWorkload(quickCfg(PinusTaeda))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedLegacy, err := SimulateShared(p, []*Workload{wl, second})
+	shared, err := Run(p, wl, WithCoRun(second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedRun, err := Run(p, wl, WithCoRun(second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&sharedLegacy.Combined, sharedRun.Report) {
-		t.Error("WithCoRun combined report differs from SimulateShared")
-	}
-	if !reflect.DeepEqual(sharedLegacy.Tenants, sharedRun.Tenants) {
-		t.Error("WithCoRun tenants differ from SimulateShared")
+	if shared.Report.Workload != "shared" || len(shared.Tenants) != 2 ||
+		shared.Tenants[0].Workload != wl.Name || shared.Tenants[1].Workload != second.Name {
+		t.Errorf("co-run result = %+v, tenants %+v", shared.Report, shared.Tenants)
 	}
 
 	// Observer + co-run is rejected as a config error; a nil observer is
