@@ -10,9 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages that create or drive goroutines.
+# Race-detector pass over the packages that create or drive goroutines
+# (CI's race job runs this target, so the two lists cannot drift apart).
 race:
-	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache
+	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/server ./internal/cliutil
 
 # Trace-pipeline and event-engine benchmarks plus the committed comparison
 # artifacts (BENCH_trace.json: cold build vs cache-hit construction;

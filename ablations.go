@@ -17,10 +17,13 @@ import (
 // of the paper is left with, using the same workloads and machines as the
 // main figures.
 //
-// Like the figures, each sweep enumerates its configurations as independent
-// jobs on the evaluator's worker pool and merges points by sweep order, so
-// the rendered tables are identical at any -jobs setting. Every point
-// replays the same cached, read-only workload trace on its own machine.
+// Like the figures, each sweep enumerates its configurations as ordinary
+// evaluator jobs (simJob, so they are observed and fault-injected like any
+// other) on the worker pool and merges points by sweep order, so the
+// rendered tables are identical at any -jobs setting. A point differs from
+// a figure job only by the machine tweak its run option carries. Every
+// point replays the same cached, read-only workload trace on its own
+// machine.
 
 // AblationPoint is one configuration of a sweep.
 type AblationPoint struct {
@@ -62,53 +65,31 @@ func (a *AblationResult) finish() {
 	}
 }
 
-// sweepPoint is one machine configuration of a sweep: a label plus the
-// core.Config to run and the workload to replay on it. fixedExtra is the
-// point's Extra metric when the sweep derives it from the configuration
-// rather than the simulation result (extra == nil in runSweep).
-type sweepPoint struct {
-	label      string
-	cfg        core.Config
-	wl         *Workload
-	fixedExtra float64
-}
-
-// runSweep executes every point on the evaluator's pool and converts the
-// per-point core results into AblationPoints via extra (or each point's
-// fixedExtra when extra is nil), in sweep order.
-func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
-	points []sweepPoint, extra func(*core.Result) float64) (*AblationResult, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
-	jobs := make([]runner.Job[*core.Result], len(points))
-	for i, p := range points {
-		p := p
-		jobs[i] = runner.Job[*core.Result]{
-			Label: fmt.Sprintf("%s [%s]", title, p.label),
-			Fn: func(context.Context) (*core.Result, error) {
-				return core.Run(p.cfg, p.wl.tr)
-			},
-		}
-	}
+// sweep runs one ablation's jobs on the evaluator's pool and fills in the
+// cycles of out's points, whose labels the caller has set in job order.
+// extra derives point i's secondary metric from its result.
+func (e *Evaluator) sweep(ctx context.Context, out *AblationResult,
+	jobs []runner.Job[*RunResult], extra func(i int, res *RunResult) float64) (*AblationResult, error) {
 	results, err := runner.Run(ctx, e.pool, jobs)
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationResult{Title: title, ExtraName: extraName}
 	for i, res := range results {
-		x := points[i].fixedExtra
-		if extra != nil {
-			x = extra(res)
-		}
-		out.Points = append(out.Points, AblationPoint{
-			Label:  points[i].label,
-			Cycles: int64(res.Cycles),
-			Extra:  x,
-		})
+		out.Points[i].Cycles = res.Report.Cycles
+		out.Points[i].Extra = extra(i, res)
 	}
 	out.finish()
 	return out, nil
+}
+
+// fmPoint adds a point labelled label to out and returns its job: FM-index
+// seeding of Pinus taeda, the workload every single-application sweep
+// replays, on kind's final FM-seeding ladder step with tune setting the
+// swept knob.
+func (e *Evaluator) fmPoint(out *AblationResult, kind PlatformKind, label string, tune func(*core.Config)) runner.Job[*RunResult] {
+	out.Points = append(out.Points, AblationPoint{Label: label})
+	p := Platform{Kind: kind, Opts: finalOptions(FMSeeding, kind)}
+	return e.simJob(FMSeeding, PinusTaeda, MultiPass, p, label, withMachineTweak(tune))
 }
 
 // AblationCoalesceGroup sweeps the multi-chip coalescing group size on
@@ -118,24 +99,19 @@ func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
 // 32 B access, group 1 (per-chip) unbalances chips; 8 is the sweet spot for
 // 32 B objects on x4 chips.
 func (e *Evaluator) AblationCoalesceGroup(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
+	out := &AblationResult{Title: "Ablation — multi-chip coalescing group size (BEACON-D, FM seeding)", ExtraName: "overfetch"}
+	var jobs []runner.Job[*RunResult]
 	for _, g := range []int{1, 2, 4, 8, 16} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.CoalesceGroup = g
-		points = append(points, sweepPoint{label: fmt.Sprintf("group=%d", g), cfg: cfg, wl: wl})
+		jobs = append(jobs, e.fmPoint(out, BeaconD, fmt.Sprintf("group=%d", g),
+			func(c *core.Config) { c.CoalesceGroup = g }))
 	}
-	return e.runSweep(ctx,
-		"Ablation — multi-chip coalescing group size (BEACON-D, FM seeding)",
-		"overfetch", points, func(res *core.Result) float64 {
-			if res.DRAM.UsefulBytes == 0 {
-				return 1.0
-			}
-			return float64(res.DRAM.TransferredBytes) / float64(res.DRAM.UsefulBytes)
-		})
+	return e.sweep(ctx, out, jobs, func(_ int, res *RunResult) float64 {
+		dram := res.machine.DRAM
+		if dram.UsefulBytes == 0 {
+			return 1.0
+		}
+		return float64(dram.TransferredBytes) / float64(dram.UsefulBytes)
+	})
 }
 
 // AblationCXLGPerSwitch sweeps the number of enhanced CXLG-DIMMs per switch
@@ -143,24 +119,13 @@ func (e *Evaluator) AblationCoalesceGroup(ctx context.Context) (*AblationResult,
 // (zero customized DIMMs) and a fully customized pool. Extra is the local
 // access fraction.
 func (e *Evaluator) AblationCXLGPerSwitch(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
+	out := &AblationResult{Title: "Ablation — CXLG-DIMMs per switch (BEACON-D, FM seeding)", ExtraName: "local-frac"}
+	var jobs []runner.Job[*RunResult]
 	for _, n := range []int{1, 2, 3, 4} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.CXLGPerSwitch = n
-		points = append(points, sweepPoint{label: fmt.Sprintf("cxlg=%d", n), cfg: cfg, wl: wl})
+		jobs = append(jobs, e.fmPoint(out, BeaconD, fmt.Sprintf("cxlg=%d", n),
+			func(c *core.Config) { c.CXLGPerSwitch = n }))
 	}
-	return e.runSweep(ctx,
-		"Ablation — CXLG-DIMMs per switch (BEACON-D, FM seeding)",
-		"local-frac", points, func(res *core.Result) float64 {
-			if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
-				return float64(res.LocalAccesses) / float64(t)
-			}
-			return 0
-		})
+	return e.sweep(ctx, out, jobs, func(_ int, res *RunResult) float64 { return res.Report.LocalFraction })
 }
 
 // AblationLinkBandwidth sweeps the per-DIMM CXL link bandwidth on BEACON-S
@@ -168,23 +133,13 @@ func (e *Evaluator) AblationCXLGPerSwitch(ctx context.Context) (*AblationResult,
 // communication share of energy. BEACON-S routes every access over these
 // links, so this is its most sensitive parameter.
 func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true}
-	var points []sweepPoint
+	out := &AblationResult{Title: "Ablation — per-DIMM CXL link bandwidth (BEACON-S, FM seeding)", ExtraName: "comm-energy"}
+	var jobs []runner.Job[*RunResult]
 	for _, bpc := range []float64{10, 20, 40, 80, 160} {
-		cfg := core.DefaultConfig(core.DesignS, opts)
-		cfg.Fabric.DIMMLink.BytesPerCycle = bpc
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/10), bpc*0.8), cfg: cfg, wl: wl})
+		jobs = append(jobs, e.fmPoint(out, BeaconS, fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/10), bpc*0.8),
+			func(c *core.Config) { c.Fabric.DIMMLink.BytesPerCycle = bpc }))
 	}
-	return e.runSweep(ctx,
-		"Ablation — per-DIMM CXL link bandwidth (BEACON-S, FM seeding)",
-		"comm-energy", points, func(res *core.Result) float64 {
-			return res.Energy.CommunicationRatio()
-		})
+	return e.sweep(ctx, out, jobs, func(_ int, res *RunResult) float64 { return res.Report.CommEnergyRatio() })
 }
 
 // AblationInFlight sweeps the Task Scheduler queue depth on BEACON-S FM
@@ -192,25 +147,17 @@ func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult,
 // fabric's bandwidth-delay product; the sweep shows throughput saturating
 // once the queue is deep enough. Extra is tasks-in-flight per PE.
 func (e *Evaluator) AblationInFlight(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	out := &AblationResult{Title: "Ablation — task scheduler queue depth (BEACON-S, FM seeding)", ExtraName: "tasks/PE"}
+	depths := []int{64, 256, 1024, 4096}
+	var jobs []runner.Job[*RunResult]
+	for _, inflight := range depths {
+		jobs = append(jobs, e.fmPoint(out, BeaconS, fmt.Sprintf("inflight=%d", inflight),
+			func(c *core.Config) { c.InFlightPerNode = inflight }))
 	}
-	opts := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true}
-	var points []sweepPoint
-	for _, inflight := range []int{64, 256, 1024, 4096} {
-		cfg := core.DefaultConfig(core.DesignS, opts)
-		cfg.InFlightPerNode = inflight
-		points = append(points, sweepPoint{
-			label:      fmt.Sprintf("inflight=%d", inflight),
-			cfg:        cfg,
-			wl:         wl,
-			fixedExtra: float64(inflight) / float64(cfg.PEsPerNode),
-		})
-	}
-	return e.runSweep(ctx,
-		"Ablation — task scheduler queue depth (BEACON-S, FM seeding)",
-		"tasks/PE", points, nil)
+	pes := Platform{Kind: BeaconS}.coreConfig().PEsPerNode
+	return e.sweep(ctx, out, jobs, func(i int, _ *RunResult) float64 {
+		return float64(depths[i]) / float64(pes)
+	})
 }
 
 // AblationPoolScale sweeps the pool size (switch count) on BEACON-D FM
@@ -218,24 +165,17 @@ func (e *Evaluator) AblationInFlight(ctx context.Context) (*AblationResult, erro
 // "the memory pool ... can scale-out far beyond this". Extra is the number
 // of compute nodes.
 func (e *Evaluator) AblationPoolScale(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	out := &AblationResult{Title: "Ablation — pool scale-out (BEACON-D, FM seeding, fixed workload)", ExtraName: "nodes"}
+	counts := []int{1, 2, 4, 8}
+	var jobs []runner.Job[*RunResult]
+	for _, switches := range counts {
+		jobs = append(jobs, e.fmPoint(out, BeaconD, fmt.Sprintf("switches=%d", switches),
+			func(c *core.Config) { c.Switches = switches }))
 	}
-	var points []sweepPoint
-	for _, switches := range []int{1, 2, 4, 8} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.Switches = switches
-		points = append(points, sweepPoint{
-			label:      fmt.Sprintf("switches=%d", switches),
-			cfg:        cfg,
-			wl:         wl,
-			fixedExtra: float64(switches * cfg.CXLGPerSwitch),
-		})
-	}
-	return e.runSweep(ctx,
-		"Ablation — pool scale-out (BEACON-D, FM seeding, fixed workload)",
-		"nodes", points, nil)
+	perSwitch := Platform{Kind: BeaconD}.coreConfig().CXLGPerSwitch
+	return e.sweep(ctx, out, jobs, func(i int, _ *RunResult) float64 {
+		return float64(counts[i] * perSwitch)
+	})
 }
 
 // AblationRowPolicy compares open-page and closed-page row policies on
@@ -243,31 +183,26 @@ func (e *Evaluator) AblationPoolScale(ctx context.Context) (*AblationResult, err
 // lists) and a random fine-grained one (FM seeding). Extra is the row-hit
 // fraction.
 func (e *Evaluator) AblationRowPolicy(ctx context.Context) (*AblationResult, error) {
-	var points []sweepPoint
+	out := &AblationResult{Title: "Ablation — row-buffer policy (BEACON-D)", ExtraName: "row-hit-frac"}
+	var jobs []runner.Job[*RunResult]
 	for _, app := range []Application{FMSeeding, HashSeeding} {
-		wl, err := e.workload(app, PinusTaeda, MultiPass)
-		if err != nil {
-			return nil, err
-		}
 		for _, closed := range []bool{false, true} {
-			cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-			cfg.DIMM.ClosedPage = closed
-			policy := "open"
+			policy := "open-page"
 			if closed {
-				policy = "closed"
+				policy = "closed-page"
 			}
-			points = append(points, sweepPoint{
-				label: fmt.Sprintf("%s/%s-page", app, policy), cfg: cfg, wl: wl})
+			out.Points = append(out.Points, AblationPoint{Label: fmt.Sprintf("%s/%s", app, policy)})
+			jobs = append(jobs, e.simJob(app, PinusTaeda, MultiPass, Platform{Kind: BeaconD, Opts: AllOptimizations()}, policy,
+				withMachineTweak(func(c *core.Config) { c.DIMM.ClosedPage = closed })))
 		}
 	}
-	return e.runSweep(ctx,
-		"Ablation — row-buffer policy (BEACON-D)",
-		"row-hit-frac", points, func(res *core.Result) float64 {
-			if total := res.DRAM.RowHits + res.DRAM.RowMisses + res.DRAM.RowConflicts; total > 0 {
-				return float64(res.DRAM.RowHits) / float64(total)
-			}
-			return 0
-		})
+	return e.sweep(ctx, out, jobs, func(_ int, res *RunResult) float64 {
+		dram := res.machine.DRAM
+		if total := dram.RowHits + dram.RowMisses + dram.RowConflicts; total > 0 {
+			return float64(dram.RowHits) / float64(total)
+		}
+		return 0
+	})
 }
 
 // AllAblations runs every sweep and renders them. The sweeps run as

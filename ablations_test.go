@@ -4,14 +4,93 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"beacon/internal/obs"
 )
+
+// TestAblationsObserved pins that every sweep point is an ordinary
+// evaluator job: with a collection attached, each of the 26 points
+// registers one Obs under its app/species/platform/step label, and the
+// rendered tables equal an unobserved run.
+func TestAblationsObserved(t *testing.T) {
+	t.Parallel()
+	plain, err := NewEvaluator(tinyRC(), EvalOptions{}).AllAblations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &obs.Collection{TraceCap: 64}
+	observed, err := NewEvaluator(tinyRC(), EvalOptions{Obs: col}).AllAblations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed != plain {
+		t.Errorf("observability changed the ablation tables:\n%s\nvs\n%s", observed, plain)
+	}
+	jobs := col.Dump().Jobs
+	if len(jobs) != 26 {
+		t.Fatalf("collection has %d jobs, want one per sweep point (26)", len(jobs))
+	}
+	labels := map[string]bool{}
+	for _, j := range jobs {
+		if labels[j.Label] {
+			t.Errorf("duplicate job label %q", j.Label)
+		}
+		labels[j.Label] = true
+		if len(j.Metrics.Snapshots) == 0 {
+			t.Errorf("%s: no metrics recorded", j.Label)
+		}
+	}
+	for _, want := range []string{
+		"fm-seeding/Pt/beacon-d/group=1",
+		"fm-seeding/Pt/beacon-d/cxlg=4",
+		"fm-seeding/Pt/beacon-s/x16 (128.0 GB/s)",
+		"fm-seeding/Pt/beacon-s/inflight=4096",
+		"fm-seeding/Pt/beacon-d/switches=8",
+		"hash-seeding/Pt/beacon-d/closed-page",
+	} {
+		if !labels[want] {
+			t.Errorf("no job labelled %q", want)
+		}
+	}
+}
+
+// TestAblationsRecordFaults pins that sweep points run under the
+// evaluator's fault profile: they inject faults, which change the tables
+// and reach the per-platform FaultSummary.
+func TestAblationsRecordFaults(t *testing.T) {
+	t.Parallel()
+	plain, err := NewEvaluator(tinyRC(), EvalOptions{}).AblationCoalesceGroup(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEvaluator(tinyRC(), EvalOptions{Faults: HeavyFaultProfile(), FaultSeed: 3})
+	faulty, err := e.AblationCoalesceGroup(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AblationInFlight(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if faulty.String() == plain.String() {
+		t.Error("the heavy fault profile left the coalescing sweep unchanged")
+	}
+	sum := e.FaultSummary()
+	if sum == nil || len(sum.Rows) != 2 {
+		t.Fatalf("fault summary = %+v, want a BEACON-D and a BEACON-S row", sum)
+	}
+	for _, row := range sum.Rows {
+		if row.Stats.Total() == 0 {
+			t.Errorf("%v: sweep jobs contributed no faults", row.Kind)
+		}
+	}
+}
 
 func TestAblationCoalesceGroup(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := NewEvaluator(QuickRunConfig(), 0).AblationCoalesceGroup(context.Background())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationCoalesceGroup(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +116,7 @@ func TestAblationLinkBandwidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := NewEvaluator(QuickRunConfig(), 0).AblationLinkBandwidth(context.Background())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationLinkBandwidth(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +134,7 @@ func TestAblationInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := NewEvaluator(QuickRunConfig(), 0).AblationInFlight(context.Background())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationInFlight(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +150,7 @@ func TestAblationPoolScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := NewEvaluator(QuickRunConfig(), 0).AblationPoolScale(context.Background())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationPoolScale(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +164,7 @@ func TestAblationPoolScale(t *testing.T) {
 
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := NewEvaluator(QuickRunConfig(), 0).AllAblations(context.Background()); err != nil {
+		if _, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AllAblations(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +175,7 @@ func TestAblationRowPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := NewEvaluator(QuickRunConfig(), 0).AblationRowPolicy(context.Background())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationRowPolicy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

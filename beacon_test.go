@@ -170,7 +170,7 @@ func TestFigure3Quick(t *testing.T) {
 		t.Skip("short mode")
 	}
 	rc := QuickRunConfig()
-	fig, err := NewEvaluator(rc, 0).Figure3(context.Background())
+	fig, err := NewEvaluator(rc, EvalOptions{}).Figure3(context.Background())
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestFigure13Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	fig, err := NewEvaluator(QuickRunConfig(), 0).Figure13(context.Background())
+	fig, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).Figure13(context.Background())
 	if err != nil {
 		t.Fatalf("Figure13: %v", err)
 	}

@@ -22,7 +22,7 @@ func benchRC() RunConfig { return RunConfig{GenomeScale: 15_000, Reads: 300, See
 
 func BenchmarkFig03IdealizedComm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := NewEvaluator(benchRC(), 0).Figure3(context.Background())
+		fig, err := NewEvaluator(benchRC(), EvalOptions{}).Figure3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func BenchmarkFig03IdealizedComm(b *testing.B) {
 
 func benchLadder(b *testing.B, app Application, kind PlatformKind) {
 	for i := 0; i < b.N; i++ {
-		fig, err := NewEvaluator(benchRC(), 0).runLadder(context.Background(), app, kind)
+		fig, err := NewEvaluator(benchRC(), EvalOptions{}).runLadder(context.Background(), app, kind)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkFig12FMIndexSeedingS(b *testing.B) { benchLadder(b, FMSeeding, Bea
 
 func BenchmarkFig13ChipBalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := NewEvaluator(benchRC(), 0).Figure13(context.Background())
+		fig, err := NewEvaluator(benchRC(), EvalOptions{}).Figure13(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig15KmerCountingS(b *testing.B) { benchLadder(b, KmerCounting, Be
 
 func BenchmarkFig16PreAlignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := NewEvaluator(benchRC(), 0).Figure16(context.Background())
+		fig, err := NewEvaluator(benchRC(), EvalOptions{}).Figure16(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig17EnergyBreakdownS(b *testing.B) { benchFig17(b, BeaconS) }
 
 func benchFig17(b *testing.B, kind PlatformKind) {
 	for i := 0; i < b.N; i++ {
-		fig, err := NewEvaluator(benchRC(), 0).Figure17(context.Background(), kind)
+		fig, err := NewEvaluator(benchRC(), EvalOptions{}).Figure17(context.Background(), kind)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func benchFig17(b *testing.B, kind PlatformKind) {
 func BenchmarkOptimizationSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, kind := range []PlatformKind{BeaconD, BeaconS} {
-			sum, err := NewEvaluator(benchRC(), 0).OptimizationSummary(context.Background(), kind)
+			sum, err := NewEvaluator(benchRC(), EvalOptions{}).OptimizationSummary(context.Background(), kind)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestOptimizationSummary(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, kind := range []PlatformKind{BeaconD, BeaconS} {
-		sum, err := NewEvaluator(QuickRunConfig(), 0).OptimizationSummary(context.Background(), kind)
+		sum, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).OptimizationSummary(context.Background(), kind)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -97,16 +97,21 @@ func main() {
 		fmt.Printf("fault injection: profile %q, seed %d (BEACON platforms only)\n\n", of.Faults, of.FaultSeed)
 	}
 
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	col := of.Collection()
-	ev, err := beacon.RunEvaluation(context.Background(), rc, beacon.EvalOptions{
+	ev, err := beacon.RunEvaluation(ctx, rc, beacon.EvalOptions{
 		Jobs:          *jobs,
-		Timeout:       *timeout,
 		Ablations:     *ablations,
 		Progress:      of.ProgressWriter(),
 		Obs:           col,
 		Faults:        faults,
 		FaultSeed:     of.FaultSeed,
-		WorkloadCache: openWorkloadCache(of),
+		WorkloadCache: of.OpenWorkloadCache(),
 	})
 	if err != nil {
 		// Dump whatever observability accumulated before the failure, then
@@ -176,22 +181,6 @@ func main() {
 		[2]string{"seed", fmt.Sprintf("0x%X", ev.Provenance.Seed)},
 		[2]string{"wall", time.Since(start).Round(time.Millisecond).String()},
 	))
-}
-
-// openWorkloadCache resolves -workload-cache. The cache is a pure
-// accelerant, so an unopenable directory degrades to cold builds with a
-// warning instead of failing the evaluation.
-func openWorkloadCache(of *cliutil.Flags) *beacon.WorkloadCache {
-	dir, enabled := of.WorkloadCacheDir()
-	if !enabled {
-		return nil
-	}
-	wc, err := beacon.OpenWorkloadCache(dir)
-	if err != nil {
-		log.Printf("workload cache disabled: %v", err)
-		return nil
-	}
-	return wc
 }
 
 func section(title string) {

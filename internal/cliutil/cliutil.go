@@ -1,5 +1,6 @@
 // Package cliutil holds the flag plumbing shared by the beacon commands:
-// the -version banner, the -metrics/-trace output files, the -progress job
+// the -version banner and -workload-cache selection (all three commands),
+// the -metrics/-trace output files, the -progress job
 // log, the -cpuprofile/-memprofile pprof flags, and the workload/platform
 // spec flags that compile down to beacon.RunSpec values (the single
 // construction path shared with the beaconsimd daemon). It keeps the CLIs'
@@ -10,20 +11,70 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
+	beacon "beacon"
 	"beacon/internal/obs"
-	"beacon/internal/runner"
 )
 
-// Flags is the shared observability flag set.
-type Flags struct {
+// Base is the flag pair all three beacon commands share: the -version
+// banner and the -workload-cache selection.
+type Base struct {
 	// Version prints build information and exits.
 	Version bool
+	// WorkloadCache selects the on-disk workload cache: "auto" (the
+	// per-user default directory), "off", or an explicit directory.
+	WorkloadCache string
+}
+
+// RegisterBase installs -version and -workload-cache on the default flag
+// set; call before flag.Parse.
+func RegisterBase() *Base {
+	b := &Base{}
+	flag.BoolVar(&b.Version, "version", false, "print build information and exit")
+	flag.StringVar(&b.WorkloadCache, "workload-cache", "auto", "on-disk workload cache `dir` (auto = per-user default, off = disabled)")
+	return b
+}
+
+// HandleVersion prints the build banner and exits when -version was given.
+// Call right after flag.Parse.
+func (b *Base) HandleVersion() {
+	if !b.Version {
+		return
+	}
+	fmt.Println(obs.ReadBuildInfo())
+	os.Exit(0)
+}
+
+// OpenWorkloadCache resolves -workload-cache: nil for "off" ("false" and
+// "no" too), the per-user default directory for "auto" (or ""), otherwise
+// the named directory. The cache is a pure accelerant, so a directory that
+// cannot be opened degrades to cold builds with a logged warning instead of
+// failing the command.
+func (b *Base) OpenWorkloadCache() *beacon.WorkloadCache {
+	dir := b.WorkloadCache
+	switch dir {
+	case "off", "false", "no":
+		return nil
+	case "auto":
+		dir = ""
+	}
+	wc, err := beacon.OpenWorkloadCache(dir)
+	if err != nil {
+		log.Printf("workload cache disabled: %v", err)
+		return nil
+	}
+	return wc
+}
+
+// Flags is the shared observability flag set of the batch commands
+// (beaconsim, beaconbench), on top of the Base pair.
+type Flags struct {
+	*Base
 	// Metrics is the metrics output path ("" = off). A ".csv" suffix
 	// selects CSV, anything else the -metrics-format encoding.
 	Metrics string
@@ -48,9 +99,6 @@ type Flags struct {
 	Faults string
 	// FaultSeed seeds the deterministic fault streams.
 	FaultSeed uint64
-	// WorkloadCache selects the on-disk workload cache: "auto" (the
-	// per-user default directory), "off", or an explicit directory.
-	WorkloadCache string
 }
 
 // Register installs the shared flags on the default flag set; call before
@@ -59,8 +107,7 @@ type Flags struct {
 // timelines), commands that fan out hundreds of jobs want a small one so
 // the merged trace stays loadable in a viewer.
 func Register(traceCap int) *Flags {
-	f := &Flags{}
-	flag.BoolVar(&f.Version, "version", false, "print build information and exit")
+	f := &Flags{Base: RegisterBase()}
 	flag.StringVar(&f.Metrics, "metrics", "", "write per-job metrics to `file` (.csv for CSV, else -metrics-format)")
 	flag.StringVar(&f.MetricsFormat, "metrics-format", "json", "non-CSV metrics `encoding` (json, openmetrics)")
 	flag.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timeline to `file` (open at https://ui.perfetto.dev)")
@@ -71,32 +118,7 @@ func Register(traceCap int) *Flags {
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to `file`")
 	flag.StringVar(&f.Faults, "faults", "off", "fault-injection `profile` for BEACON platforms (off, default, heavy)")
 	flag.Uint64Var(&f.FaultSeed, "fault-seed", 1, "`seed` for the deterministic fault streams")
-	flag.StringVar(&f.WorkloadCache, "workload-cache", "auto", "on-disk workload cache `dir` (auto = per-user default, off = disabled)")
 	return f
-}
-
-// WorkloadCacheDir resolves the -workload-cache flag: enabled=false for
-// "off", otherwise the directory to open ("" means the caller's default
-// location, for "auto").
-func (f *Flags) WorkloadCacheDir() (dir string, enabled bool) {
-	switch f.WorkloadCache {
-	case "off", "false", "no":
-		return "", false
-	case "auto", "":
-		return "", true
-	default:
-		return f.WorkloadCache, true
-	}
-}
-
-// HandleVersion prints the build banner and exits when -version was given.
-// Call right after flag.Parse.
-func (f *Flags) HandleVersion() {
-	if !f.Version {
-		return
-	}
-	fmt.Println(obs.ReadBuildInfo())
-	os.Exit(0)
 }
 
 // Collection returns a fresh obs collection when -metrics or -trace was
@@ -114,26 +136,6 @@ func (f *Flags) ProgressWriter() io.Writer {
 		return nil
 	}
 	return os.Stderr
-}
-
-// ObservePool installs a -progress observer on the pool (no-op when off).
-func (f *Flags) ObservePool(pool *runner.Pool) {
-	w := f.ProgressWriter()
-	if w == nil {
-		return
-	}
-	var mu sync.Mutex
-	done := 0
-	pool.SetObserver(func(ev runner.JobEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if ev.Err != nil {
-			fmt.Fprintf(w, "[%4d] FAIL %-48s %9s  %v\n", done, ev.Label, ev.Wall, ev.Err)
-			return
-		}
-		fmt.Fprintf(w, "[%4d] done %-48s %9s\n", done, ev.Label, ev.Wall)
-	})
 }
 
 // StartProfiles begins CPU profiling when requested and returns a stop

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,5 +315,44 @@ func TestNilPoolNoObserver(t *testing.T) {
 	out, err := Run(context.Background(), nil, jobs)
 	if err != nil || out[0] != 7 {
 		t.Fatalf("nil-pool run = %v, %v", out, err)
+	}
+}
+
+// TestLogProgress pins the progress-line shape the CLIs and the evaluator
+// share: a running count, the label, the wall time rounded to the
+// millisecond, and FAIL plus the error for a failed job.
+func TestLogProgress(t *testing.T) {
+	var b strings.Builder
+	pool := NewPool(1)
+	pool.LogProgress(&b)
+	ok := []Job[int]{{Label: "fm-seeding/Pt/beacon-d/+data packing", Fn: func(context.Context) (int, error) { return 1, nil }}}
+	if _, err := Run(context.Background(), pool, ok); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	bad := []Job[int]{{Label: "bad", Fn: func(context.Context) (int, error) { return 0, boom }}}
+	if _, err := Run(context.Background(), pool, bad); !errors.Is(err, boom) {
+		t.Fatalf("Run error = %v, want %v", err, boom)
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), b.String())
+	}
+	const done = "[   1] done fm-seeding/Pt/beacon-d/+data packing "
+	if !strings.HasPrefix(lines[0], done) {
+		t.Errorf("done line %q lacks prefix %q", lines[0], done)
+	}
+	fields := strings.Fields(lines[0])
+	if d, err := time.ParseDuration(fields[len(fields)-1]); err != nil || d%time.Millisecond != 0 {
+		t.Errorf("done line %q: duration %v (%v) is not whole milliseconds", lines[0], d, err)
+	}
+	if !strings.HasPrefix(lines[1], "[   2] FAIL bad ") || !strings.HasSuffix(lines[1], "  boom") {
+		t.Errorf("FAIL line = %q", lines[1])
+	}
+
+	silent := NewPool(1)
+	silent.LogProgress(nil)
+	if silent.observer != nil {
+		t.Error("a nil writer installed an observer")
 	}
 }

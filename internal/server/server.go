@@ -521,34 +521,27 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one admitted job on the shared pool. runner.Run bounds
-// concurrency against every other pool user and converts panics into
-// *runner.PanicError, so one bad spec cannot take the daemon down.
+// runJob executes one admitted job and records its outcome.
 func (s *Server) runJob(j *job) {
 	defer s.inflight.Done()
 	s.mu.Lock()
 	j.state = JobRunning
 	s.mu.Unlock()
 
-	var opts []beacon.RunOption
-	if s.col != nil && len(j.spec.CoRun) == 0 {
+	var ob *obs.Obs
+	if len(j.spec.CoRun) == 0 {
 		// Co-located runs reject observers (beacon.ErrBadConfig), so only
 		// single-tenant jobs are observed.
-		opts = append(opts, beacon.WithObserver(s.col.New("job/"+j.tenant+"/"+j.id)))
+		ob = s.col.New("job/" + j.tenant + "/" + j.id)
 	}
-	res, err := runner.Run(context.Background(), s.pool, []runner.Job[*beacon.RunResult]{{
-		Label: j.tenant + "/" + j.id,
-		Fn: func(context.Context) (*beacon.RunResult, error) {
-			return j.spec.Execute(s.cache, opts...)
-		},
-	}})
+	res, err := s.execute(j, ob)
 
 	s.mu.Lock()
 	if err != nil {
 		j.state, j.err = JobFailed, err
 		s.failed.Add(1)
 	} else {
-		j.res = res[0]
+		j.res = res
 		j.prov = ResultProvenance(j.spec, j.res)
 		j.etag = ETag(j.prov)
 		j.state = JobDone
@@ -556,4 +549,26 @@ func (s *Server) runJob(j *job) {
 	}
 	close(j.done)
 	s.mu.Unlock()
+}
+
+// execute runs j's spec on the shared pool, observed by ob (nil = bare).
+// runner.Run bounds concurrency against every other pool user and converts
+// panics into *runner.PanicError, so one bad spec cannot take the daemon
+// down. The daemon serves ob's metric snapshots but never its timeline
+// trace, so the trace is dropped as soon as the run returns instead of
+// living as long as the job.
+func (s *Server) execute(j *job, ob *obs.Obs) (*beacon.RunResult, error) {
+	res, err := runner.Run(context.Background(), s.pool, []runner.Job[*beacon.RunResult]{{
+		Label: j.tenant + "/" + j.id,
+		Fn: func(context.Context) (*beacon.RunResult, error) {
+			return j.spec.Execute(s.cache, beacon.WithObserver(ob))
+		},
+	}})
+	if ob != nil {
+		ob.Trace = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -564,6 +565,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !sawJobMetric {
 		t.Error("exposition carries no per-job simulation metrics")
+	}
+}
+
+// TestFinishedJobReleasesTrace pins that a finished job keeps its metrics
+// but not its timeline trace: the daemon never serves the trace, and it is
+// the bulk of what an observed job retains after its run.
+func TestFinishedJobReleasesTrace(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, Config{Pool: runner.NewPool(1)})
+	ob := obs.NewCollection().New("job/alice/x")
+	released := make(chan struct{})
+	runtime.SetFinalizer(ob.Trace, func(*obs.Tracer) { close(released) })
+	if _, err := s.execute(&job{id: "x", tenant: "alice", spec: testSpec()}, ob); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for freed := false; !freed; {
+		runtime.GC()
+		select {
+		case <-released:
+			freed = true
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("a finished job's trace is still reachable")
+		}
+	}
+	snaps := ob.Metrics.Snapshots()
+	if len(snaps) == 0 {
+		t.Fatal("no final snapshot")
+	}
+	if _, ok := snaps[len(snaps)-1].Values["obs.trace_dropped"]; !ok {
+		t.Errorf("final snapshot lacks obs.trace_dropped: %v", snaps[len(snaps)-1].Values)
 	}
 }
 

@@ -114,12 +114,12 @@ func TestObservedRunsAreRepeatable(t *testing.T) {
 // registered under its full app/species/platform/step label.
 func TestEvaluatorObservability(t *testing.T) {
 	t.Parallel()
-	plain, err := NewEvaluator(tinyRC(), 4).Figure13(context.Background())
+	plain, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4}).Figure13(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollection()
-	observed, err := NewEvaluator(tinyRC(), 4).WithObservability(col).Figure13(context.Background())
+	observed, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4, Obs: col}).Figure13(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEvaluatorProgress(t *testing.T) {
 	t.Parallel()
 	var b strings.Builder
 	mu := &syncBuilder{b: &b}
-	if _, err := NewEvaluator(tinyRC(), 2).WithProgress(mu).Figure13(context.Background()); err != nil {
+	if _, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2, Progress: mu}).Figure13(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	out := mu.String()
@@ -165,9 +165,9 @@ func TestEvaluatorProgress(t *testing.T) {
 // figure/species/platform/step identity so the operator can locate it.
 func TestJobErrorIdentity(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 1)
+	e := NewEvaluator(tinyRC(), EvalOptions{Jobs: 1})
 	bad := e.simJob(FMSeeding, PinusTaeda, MultiPass, Platform{Kind: PlatformKind(99)}, "cpu-ref")
-	_, err := runner.Run(context.Background(), e.pool, []runner.Job[*Report]{bad})
+	_, err := runner.Run(context.Background(), e.pool, []runner.Job[*RunResult]{bad})
 	if err == nil {
 		t.Fatal("invalid platform must fail")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"beacon/internal/energy"
 	"beacon/internal/obs"
@@ -14,8 +13,9 @@ import (
 )
 
 // Evaluator orchestrates the paper's experiments over a bounded worker
-// pool. Every figure is enumerated as a flat list of independent
-// (species × platform × ladder-step) simulation jobs; the jobs execute on
+// pool. Every figure and ablation sweep is enumerated as a flat list of
+// independent (species × platform × step) simulation jobs, all built by
+// simJob; the jobs execute on
 // the pool in whatever order the scheduler picks, and their results are
 // merged by job index, so an Evaluator's output is byte-identical for any
 // jobs setting — including jobs=1, which is exact serial execution.
@@ -31,66 +31,32 @@ import (
 // concurrent coordinators (RunEvaluation fans every figure out at once)
 // still respect the single -jobs bound.
 type Evaluator struct {
-	rc      RunConfig
-	timeout time.Duration
-	pool    *runner.Pool
-	cache   *workloadCache
-	obsCol  *obs.Collection
-	// Fault injection (zero profile = off): the profile and seed applied to
-	// every BEACON simulation job, plus a per-platform aggregate. The
-	// aggregate is commutative uint64 sums under a mutex, so it is
-	// byte-identical at any jobs width even though jobs finish in
+	rc    RunConfig
+	opts  EvalOptions
+	pool  *runner.Pool
+	cache *workloadCache
+	// faultAgg aggregates injected faults per platform when opts.Faults is
+	// enabled (nil otherwise). It is commutative uint64 sums under a mutex,
+	// so it is byte-identical at any jobs width even though jobs finish in
 	// scheduler order.
-	faults    FaultProfile
-	faultSeed uint64
-	faultMu   sync.Mutex
-	faultAgg  map[PlatformKind]FaultStats
+	faultMu  sync.Mutex
+	faultAgg map[PlatformKind]FaultStats
 }
 
-// NewEvaluator returns an evaluator running rc's scale on a pool of the
-// given width. jobs <= 0 selects GOMAXPROCS.
-func NewEvaluator(rc RunConfig, jobs int) *Evaluator {
-	return &Evaluator{
+// NewEvaluator returns an evaluator running rc's scale as opts configures
+// it: the pool width, the progress log, the observability collection, the
+// fault profile and the on-disk workload cache. Deadlines come from the
+// context each figure method is given.
+func NewEvaluator(rc RunConfig, opts EvalOptions) *Evaluator {
+	e := &Evaluator{
 		rc:    rc,
-		pool:  runner.NewPool(jobs),
+		opts:  opts,
+		pool:  runner.NewPool(opts.Jobs),
 		cache: newWorkloadCache(),
 	}
-}
-
-// WithTimeout bounds every subsequent figure run; d <= 0 means no limit.
-// It returns the evaluator for chaining.
-func (e *Evaluator) WithTimeout(d time.Duration) *Evaluator {
-	e.timeout = d
-	return e
-}
-
-// WithObservability attaches an obs.Collection: every subsequent simulation
-// job registers a per-job Obs under its full job label and runs fully
-// instrumented. Instrumentation is observation-only, so attaching a
-// collection never changes any figure. It returns the evaluator for
-// chaining.
-func (e *Evaluator) WithObservability(col *obs.Collection) *Evaluator {
-	e.obsCol = col
-	return e
-}
-
-// WithWorkloadCache backs the evaluator's workload construction with the
-// on-disk content-addressed cache: each distinct configuration is looked
-// up there before the functional phase runs, and stored after a cold
-// build. A nil cache is a no-op. The cache never changes results — only
-// how fast workloads materialize. It returns the evaluator for chaining.
-func (e *Evaluator) WithWorkloadCache(wc *WorkloadCache) *Evaluator {
-	e.cache.disk = wc
-	return e
-}
-
-// WithFaults applies a fault-injection profile to every subsequent BEACON
-// simulation job (the baselines ignore it). It returns the evaluator for
-// chaining.
-func (e *Evaluator) WithFaults(prof FaultProfile, seed uint64) *Evaluator {
-	e.faults = prof
-	e.faultSeed = seed
-	if prof.Enabled() {
+	e.cache.disk = opts.WorkloadCache
+	e.pool.LogProgress(opts.Progress)
+	if opts.Faults.Enabled() {
 		e.faultAgg = make(map[PlatformKind]FaultStats)
 	}
 	return e
@@ -104,7 +70,7 @@ func (e *Evaluator) FaultSummary() *FaultSummary {
 	}
 	e.faultMu.Lock()
 	defer e.faultMu.Unlock()
-	out := &FaultSummary{Profile: e.faults, Seed: e.faultSeed}
+	out := &FaultSummary{Profile: e.opts.Faults, Seed: e.opts.FaultSeed}
 	for _, k := range []PlatformKind{BeaconD, BeaconS} {
 		if st, ok := e.faultAgg[k]; ok {
 			out.Rows = append(out.Rows, FaultSummaryRow{Kind: k, Stats: st})
@@ -125,41 +91,8 @@ func (e *Evaluator) recordFaults(kind PlatformKind, st FaultStats) {
 	e.faultMu.Unlock()
 }
 
-// WithProgress streams one line per finished simulation job to w — label,
-// wall-clock duration, and FAIL plus the error for failed jobs. Output
-// order follows completion order (nondeterministic by design: this is a
-// live log, not a result). It returns the evaluator for chaining.
-func (e *Evaluator) WithProgress(w io.Writer) *Evaluator {
-	if w == nil {
-		return e
-	}
-	var mu sync.Mutex
-	done := 0
-	e.pool.SetObserver(func(ev runner.JobEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if ev.Err != nil {
-			fmt.Fprintf(w, "[%4d] FAIL %-48s %9s  %v\n",
-				done, ev.Label, ev.Wall.Round(time.Millisecond), ev.Err)
-			return
-		}
-		fmt.Fprintf(w, "[%4d] done %-48s %9s\n",
-			done, ev.Label, ev.Wall.Round(time.Millisecond))
-	})
-	return e
-}
-
 // Jobs returns the pool's concurrency bound.
 func (e *Evaluator) Jobs() int { return e.pool.Size() }
-
-// context applies the evaluator's timeout to ctx.
-func (e *Evaluator) context(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.timeout > 0 {
-		return context.WithTimeout(ctx, e.timeout)
-	}
-	return context.WithCancel(ctx)
-}
 
 // workload returns the cached workload for (app, sp, flow). Hash seeding
 // issues ~6x fewer memory steps per read than FM seeding, so its read count
@@ -174,29 +107,47 @@ func (e *Evaluator) workload(app Application, sp Species, flow KmerFlow) (*Workl
 	return e.cache.get(app, cfg)
 }
 
-// simJob is one leaf of the job graph: build (or fetch) the workload and
-// replay it on one platform. step names the job's role in its figure (a
-// ladder step name, "cpu-ref", "ideal", ...) so failures and progress lines
-// carry the full app/species/platform/step identity.
-func (e *Evaluator) simJob(app Application, sp Species, flow KmerFlow, p Platform, step string) runner.Job[*Report] {
+// simJob is the one leaf of the job graph: build (or fetch) the workload
+// and replay it on one platform, observed and fault-injected as the
+// evaluator is configured. step names the job's role in its figure (a
+// ladder step name, "cpu-ref", "ideal", an ablation point, ...) so
+// failures, progress lines and metrics carry the full
+// app/species/platform/step identity. opts add per-job run options (an
+// ablation point's machine tweak).
+func (e *Evaluator) simJob(app Application, sp Species, flow KmerFlow, p Platform, step string, opts ...RunOption) runner.Job[*RunResult] {
 	label := fmt.Sprintf("%s/%s/%s/%s", app, sp, p.Kind, step)
-	return runner.Job[*Report]{
+	return runner.Job[*RunResult]{
 		Label: label,
-		Fn: func(context.Context) (*Report, error) {
+		Fn: func(context.Context) (*RunResult, error) {
 			wl, err := e.workload(app, sp, flow)
 			if err != nil {
 				return nil, err
 			}
-			res, err := Run(p, wl,
-				WithObserver(e.obsCol.New(label)),
-				WithFaultInjection(e.faults, e.faultSeed))
+			res, err := Run(p, wl, append([]RunOption{
+				WithObserver(e.opts.Obs.New(label)),
+				WithFaultInjection(e.opts.Faults, e.opts.FaultSeed),
+			}, opts...)...)
 			if err != nil {
 				return nil, err
 			}
 			e.recordFaults(p.Kind, res.Report.Faults)
-			return res.Report, nil
+			return res, nil
 		},
 	}
+}
+
+// runReports runs leaf jobs on the evaluator's pool and returns their
+// reports in job order.
+func (e *Evaluator) runReports(ctx context.Context, jobs []runner.Job[*RunResult]) ([]*Report, error) {
+	results, err := runner.Run(ctx, e.pool, jobs)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]*Report, len(results))
+	for i, res := range results {
+		reports[i] = res.Report
+	}
+	return reports, nil
 }
 
 // stepFlow returns the flow a ladder step replays (k-mer single-pass steps
@@ -212,9 +163,6 @@ func stepFlow(app Application, st ladderStep) KmerFlow {
 // one DDR-baseline reference, every ladder step, and the idealized-
 // communication run — all as independent pool jobs.
 func (e *Evaluator) runLadder(ctx context.Context, app Application, kind PlatformKind) (*LadderFigure, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	speciesList := speciesFor(app)
 	steps := ladderFor(app, kind)
 	fig := &LadderFigure{App: app, Kind: kind, Species: speciesList}
@@ -224,7 +172,7 @@ func (e *Evaluator) runLadder(ctx context.Context, app Application, kind Platfor
 
 	// Per-species job layout: [cpu, ddr, step 0..n-1, ideal].
 	stride := len(steps) + 3
-	jobs := make([]runner.Job[*Report], 0, len(speciesList)*stride)
+	jobs := make([]runner.Job[*RunResult], 0, len(speciesList)*stride)
 	for _, sp := range speciesList {
 		// The CPU software is single-pass-equivalent (BFCounter reads
 		// input once); normalize against the single-pass trace for k-mer
@@ -243,7 +191,7 @@ func (e *Evaluator) runLadder(ctx context.Context, app Application, kind Platfor
 		idealOpts.IdealComm = true
 		jobs = append(jobs, e.simJob(app, sp, stepFlow(app, last), Platform{Kind: kind, Opts: idealOpts}, "ideal"))
 	}
-	reports, err := runner.Run(ctx, e.pool, jobs)
+	reports, err := e.runReports(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -328,9 +276,6 @@ func (e *Evaluator) Figure15(ctx context.Context) (d, s *LadderFigure, err error
 // Figure3 measures how much idealized communication would speed up the
 // previous DDR-DIMM accelerators — the paper's motivation experiment.
 func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	type rowSpec struct {
 		app Application
 		sp  Species
@@ -343,13 +288,13 @@ func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
 
 	// Per-row job layout: [real, ideal]. The DDR baselines (NEST for k-mer
 	// counting) always count multi-pass.
-	jobs := make([]runner.Job[*Report], 0, 2*len(rows))
+	jobs := make([]runner.Job[*RunResult], 0, 2*len(rows))
 	for _, r := range rows {
 		jobs = append(jobs,
 			e.simJob(r.app, r.sp, MultiPass, Platform{Kind: DDRBaseline}, "real"),
 			e.simJob(r.app, r.sp, MultiPass, Platform{Kind: DDRBaseline, Opts: Options{IdealComm: true}}, "ideal"))
 	}
-	reports, err := runner.Run(ctx, e.pool, jobs)
+	reports, err := e.runReports(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -375,11 +320,8 @@ func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
 // Figure13 measures per-chip access balance on the CXLG-DIMMs for FM-index
 // seeding, without and with multi-chip coalescing (Fig. 11/13).
 func (e *Evaluator) Figure13(ctx context.Context) (*Figure13Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	placed := Options{DataPacking: true, MemAccessOpt: true, Placement: true}
-	reports, err := runner.Run(ctx, e.pool, []runner.Job[*Report]{
+	reports, err := e.runReports(ctx, []runner.Job[*RunResult]{
 		e.simJob(FMSeeding, PinusTaeda, MultiPass, Platform{Kind: BeaconD, Opts: placed}, "placed"),
 		e.simJob(FMSeeding, PinusTaeda, MultiPass, Platform{Kind: BeaconD, Opts: AllOptimizations()}, "coalesced"),
 	})
@@ -409,19 +351,16 @@ func (e *Evaluator) Figure13(ctx context.Context) (*Figure13Result, error) {
 
 // Figure16 runs DNA pre-alignment on both designs with full optimizations.
 func (e *Evaluator) Figure16(ctx context.Context) (*Figure16Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	out := &Figure16Result{Species: AllSeedingSpecies()}
 	// Per-species job layout: [cpu, beacon-d, beacon-s].
-	jobs := make([]runner.Job[*Report], 0, 3*len(out.Species))
+	jobs := make([]runner.Job[*RunResult], 0, 3*len(out.Species))
 	for _, sp := range out.Species {
 		jobs = append(jobs,
 			e.simJob(PreAlignment, sp, MultiPass, Platform{Kind: CPU}, "cpu-ref"),
 			e.simJob(PreAlignment, sp, MultiPass, Platform{Kind: BeaconD, Opts: finalOptions(PreAlignment, BeaconD)}, "final"),
 			e.simJob(PreAlignment, sp, MultiPass, Platform{Kind: BeaconS, Opts: finalOptions(PreAlignment, BeaconS)}, "final"))
 	}
-	reports, err := runner.Run(ctx, e.pool, jobs)
+	reports, err := e.runReports(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -442,16 +381,13 @@ func (e *Evaluator) Figure16(ctx context.Context) (*Figure16Result, error) {
 // Figure17 measures the energy breakdown along the ladder, averaged over
 // the four applications (one representative dataset each).
 func (e *Evaluator) Figure17(ctx context.Context, kind PlatformKind) (*Figure17Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	apps := []Application{FMSeeding, HashSeeding, KmerCounting, PreAlignment}
 	// Use the longest ladder's step names; shorter ladders clamp to final.
 	maxSteps := []string{"CXL-vanilla", "+data packing", "+mem access opt", "+placement/mapping", "+app-specific"}
 	out := &Figure17Result{Kind: kind, Steps: maxSteps}
 
 	// Per-app job layout: one job per ladder position.
-	jobs := make([]runner.Job[*Report], 0, len(apps)*len(maxSteps))
+	jobs := make([]runner.Job[*RunResult], 0, len(apps)*len(maxSteps))
 	for _, app := range apps {
 		sp := speciesFor(app)[0]
 		steps := ladderFor(app, kind)
@@ -460,7 +396,7 @@ func (e *Evaluator) Figure17(ctx context.Context, kind PlatformKind) (*Figure17R
 			jobs = append(jobs, e.simJob(app, sp, stepFlow(app, st), Platform{Kind: kind, Opts: st.Opts}, st.Name))
 		}
 	}
-	reports, err := runner.Run(ctx, e.pool, jobs)
+	reports, err := e.runReports(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -487,12 +423,9 @@ func (e *Evaluator) Figure17(ctx context.Context, kind PlatformKind) (*Figure17R
 // OptimizationSummary aggregates the ladder gains across all four
 // applications for one design (§VI-G).
 func (e *Evaluator) OptimizationSummary(ctx context.Context, kind PlatformKind) (*OptSummary, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	apps := []Application{FMSeeding, HashSeeding, KmerCounting, PreAlignment}
 	// Per-app job layout: [vanilla, final].
-	jobs := make([]runner.Job[*Report], 0, 2*len(apps))
+	jobs := make([]runner.Job[*RunResult], 0, 2*len(apps))
 	for _, app := range apps {
 		sp := speciesFor(app)[0]
 		steps := ladderFor(app, kind)
@@ -501,7 +434,7 @@ func (e *Evaluator) OptimizationSummary(ctx context.Context, kind PlatformKind) 
 			e.simJob(app, sp, stepFlow(app, first), Platform{Kind: kind, Opts: first.Opts}, first.Name),
 			e.simJob(app, sp, stepFlow(app, last), Platform{Kind: kind, Opts: last.Opts}, last.Name))
 	}
-	reports, err := runner.Run(ctx, e.pool, jobs)
+	reports, err := e.runReports(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -522,18 +455,18 @@ func (e *Evaluator) OptimizationSummary(ctx context.Context, kind PlatformKind) 
 	}, nil
 }
 
-// EvalOptions configures a full-evaluation run.
+// EvalOptions configures an Evaluator and a full-evaluation run.
 type EvalOptions struct {
 	// Jobs bounds concurrent simulations; <= 0 selects GOMAXPROCS.
 	Jobs int
-	// Timeout bounds the whole evaluation; 0 means no limit.
-	Timeout time.Duration
-	// Ablations additionally runs the design-choice sweeps.
+	// Ablations additionally runs the design-choice sweeps (RunEvaluation
+	// only).
 	Ablations bool
 	// Progress, when non-nil, receives one line per finished simulation
 	// job (live log; completion order).
 	Progress io.Writer
-	// Obs, when non-nil, collects per-job metrics and timeline traces.
+	// Obs, when non-nil, collects per-job metrics and timeline traces: every
+	// simulation job registers an Obs under its full job label.
 	// Observation-only: the returned Evaluation is identical either way.
 	Obs *obs.Collection
 	// Faults applies a fault-injection profile to every BEACON simulation
@@ -573,16 +506,7 @@ type Evaluation struct {
 // pool of opts.Jobs workers, and each figure's merge order is fixed, so the
 // result is independent of scheduling.
 func RunEvaluation(ctx context.Context, rc RunConfig, opts EvalOptions) (*Evaluation, error) {
-	e := NewEvaluator(rc, opts.Jobs).WithTimeout(opts.Timeout).
-		WithObservability(opts.Obs).WithProgress(opts.Progress).
-		WithFaults(opts.Faults, opts.FaultSeed).
-		WithWorkloadCache(opts.WorkloadCache)
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-	// The evaluator's per-figure timeout is already applied to ctx here;
-	// avoid stacking a second deadline inside each figure call.
-	e.timeout = 0
-
+	e := NewEvaluator(rc, opts)
 	out := &Evaluation{
 		Provenance: obs.NewProvenance(rc, rc.Seed),
 		TableII:    TableII(),

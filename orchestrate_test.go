@@ -51,11 +51,11 @@ func TestSerialParallelLadderEquivalence(t *testing.T) {
 		{KmerCounting, BeaconS},
 		{FMSeeding, BeaconD},
 	} {
-		serial, err := NewEvaluator(tinyRC(), 1).runLadder(context.Background(), tc.app, tc.kind)
+		serial, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 1}).runLadder(context.Background(), tc.app, tc.kind)
 		if err != nil {
 			t.Fatalf("serial %v/%v: %v", tc.app, tc.kind, err)
 		}
-		parallel, err := NewEvaluator(tinyRC(), 8).runLadder(context.Background(), tc.app, tc.kind)
+		parallel, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 8}).runLadder(context.Background(), tc.app, tc.kind)
 		if err != nil {
 			t.Fatalf("parallel %v/%v: %v", tc.app, tc.kind, err)
 		}
@@ -110,7 +110,7 @@ func TestSerialParallelEvaluationEquivalence(t *testing.T) {
 // must be indistinguishable from a fresh build.
 func TestWorkloadCache(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 4)
+	e := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4})
 	if _, err := e.runLadder(context.Background(), KmerCounting, BeaconS); err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,13 @@ func TestWorkloadCache(t *testing.T) {
 	}
 }
 
-// TestEvaluatorTimeout asserts the -timeout knob aborts a run cleanly.
+// TestEvaluatorTimeout asserts a context deadline (beaconbench -timeout)
+// aborts a run cleanly.
 func TestEvaluatorTimeout(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 2).WithTimeout(time.Nanosecond)
-	if _, err := e.Figure3(context.Background()); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if _, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2}).Figure3(ctx); err == nil {
 		t.Error("nanosecond timeout did not abort the figure")
 	}
 }
@@ -151,7 +153,7 @@ func TestEvaluatorTimeout(t *testing.T) {
 // TestEvaluatorJobs pins the pool-width plumbing.
 func TestEvaluatorJobs(t *testing.T) {
 	t.Parallel()
-	if got := NewEvaluator(tinyRC(), 3).Jobs(); got != 3 {
+	if got := NewEvaluator(tinyRC(), EvalOptions{Jobs: 3}).Jobs(); got != 3 {
 		t.Errorf("Jobs() = %d, want 3", got)
 	}
 }

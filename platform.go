@@ -7,7 +7,6 @@ import (
 	"beacon/internal/baseline"
 	"beacon/internal/core"
 	"beacon/internal/fault"
-	"beacon/internal/obs"
 	"beacon/internal/sim"
 	"beacon/internal/stats"
 	"beacon/internal/trace"
@@ -164,12 +163,51 @@ func (r *Report) EnergyReductionOver(other *Report) float64 {
 	return stats.Speedup(other.EnergyPJ, r.EnergyPJ)
 }
 
+// coreConfig resolves a BEACON platform into its machine configuration:
+// the Table I design with the platform's optimizations and fault profile.
+func (p Platform) coreConfig() core.Config {
+	design := core.DesignD
+	if p.Kind == BeaconS {
+		design = core.DesignS
+	}
+	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
+	cfg.Faults = p.Faults
+	cfg.FaultSeed = p.FaultSeed
+	return cfg
+}
+
+// machine builds the BEACON machine a run replays on: p's configuration
+// plus the run's observer and machine tweak.
+func (s *runSettings) machine(p Platform) (*core.Machine, error) {
+	cfg := p.coreConfig()
+	cfg.Obs = s.ob
+	if s.tune != nil {
+		s.tune(&cfg)
+	}
+	return core.NewMachine(cfg)
+}
+
+// fromMachine fills in the report fields every BEACON run shares from the
+// machine's result: makespan, energy, fabric traffic and faults.
+func (r *Report) fromMachine(res *core.Result) {
+	r.Cycles = int64(res.Cycles)
+	r.Seconds = res.Seconds()
+	r.EnergyPJ = res.EnergyPJ()
+	r.CommEnergyPJ = res.Energy.CommunicationPJ
+	r.DRAMEnergyPJ = res.Energy.DRAMPJ
+	r.ComputeEnergyPJ = res.Energy.ComputePJ
+	r.WireBytes = res.Fabric.WireBytes
+	r.HostCrossings = res.Fabric.HostCrossings
+	r.Faults = res.Faults
+}
+
 // simulateOne is the single-tenant simulation behind Run.
-func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
+func simulateOne(p Platform, w *Workload, s *runSettings) (*RunResult, error) {
 	if w == nil || w.tr == nil {
 		return nil, fmt.Errorf("beacon: nil workload")
 	}
 	rep := &Report{Platform: p, Workload: w.Name}
+	out := &RunResult{Report: rep}
 	switch p.Kind {
 	case CPU:
 		res, err := baseline.RunCPU(baseline.DefaultCPUConfig(), w.tr)
@@ -180,7 +218,7 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		rep.Seconds = res.Seconds
 		rep.EnergyPJ = res.EnergyPJ
 		rep.ComputeEnergyPJ = res.EnergyPJ
-		return rep, nil
+		return out, nil
 	case DDRBaseline:
 		// Seeding and pre-alignment compare against MEDAL, k-mer counting
 		// against NEST, at PE-area parity with BEACON (§VI-A).
@@ -189,7 +227,7 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 			cfg = baseline.NESTConfig()
 		}
 		cfg.IdealComm = p.Opts.IdealComm
-		cfg.Obs = ob
+		cfg.Obs = s.ob
 		res, err := baseline.RunDDR(cfg, w.tr)
 		if err != nil {
 			return nil, err
@@ -205,34 +243,23 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
 			rep.LocalFraction = float64(res.LocalAccesses) / float64(t)
 		}
-		return rep, nil
+		return out, nil
 	case BeaconD, BeaconS:
-		design := core.DesignD
-		if p.Kind == BeaconS {
-			design = core.DesignS
-		}
-		cfg := core.DefaultConfig(design, p.Opts.coreOpts())
-		cfg.Obs = ob
-		cfg.Faults = p.Faults
-		cfg.FaultSeed = p.FaultSeed
-		res, err := core.Run(cfg, w.tr)
+		m, err := s.machine(p)
 		if err != nil {
 			return nil, err
 		}
-		rep.Faults = res.Faults
-		rep.Cycles = int64(res.Cycles)
-		rep.Seconds = res.Seconds()
-		rep.EnergyPJ = res.EnergyPJ()
-		rep.CommEnergyPJ = res.Energy.CommunicationPJ
-		rep.DRAMEnergyPJ = res.Energy.DRAMPJ
-		rep.ComputeEnergyPJ = res.Energy.ComputePJ
-		rep.WireBytes = res.Fabric.WireBytes
-		rep.HostCrossings = res.Fabric.HostCrossings
+		res, err := m.Run(w.tr)
+		if err != nil {
+			return nil, err
+		}
+		out.machine = res
+		rep.fromMachine(res)
 		rep.ChipAccesses = res.CXLGChipAccesses
 		if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
 			rep.LocalFraction = float64(res.LocalAccesses) / float64(t)
 		}
-		return rep, nil
+		return out, nil
 	}
 	return nil, fmt.Errorf("beacon: unknown platform %d", int(p.Kind))
 }
@@ -247,13 +274,9 @@ type TenantReport struct {
 // simulateShared is the multi-tenant simulation behind Run: the workloads'
 // tasks interleave in the task schedulers of one BEACON pool and contend
 // for the same fabric and DRAM.
-func simulateShared(p Platform, wls []*Workload) (*RunResult, error) {
+func simulateShared(p Platform, wls []*Workload, s *runSettings) (*RunResult, error) {
 	if p.Kind != BeaconD && p.Kind != BeaconS {
 		return nil, fmt.Errorf("beacon: shared runs require a BEACON platform, got %v", p.Kind)
-	}
-	design := core.DesignD
-	if p.Kind == BeaconS {
-		design = core.DesignS
 	}
 	var traces []*trace.Workload
 	names := make([]string, len(wls))
@@ -264,24 +287,17 @@ func simulateShared(p Platform, wls []*Workload) (*RunResult, error) {
 		traces = append(traces, w.tr)
 		names[i] = w.Name
 	}
-	res, err := core.RunShared(core.DefaultConfig(design, p.Opts.coreOpts()), traces)
+	m, err := s.machine(p)
 	if err != nil {
 		return nil, err
 	}
-	out := &RunResult{
-		Report: &Report{
-			Platform:        p,
-			Workload:        "shared",
-			Cycles:          int64(res.Combined.Cycles),
-			Seconds:         res.Combined.Seconds(),
-			EnergyPJ:        res.Combined.EnergyPJ(),
-			CommEnergyPJ:    res.Combined.Energy.CommunicationPJ,
-			DRAMEnergyPJ:    res.Combined.Energy.DRAMPJ,
-			ComputeEnergyPJ: res.Combined.Energy.ComputePJ,
-			WireBytes:       res.Combined.Fabric.WireBytes,
-			HostCrossings:   res.Combined.Fabric.HostCrossings,
-		},
+	res, err := m.RunShared(traces)
+	if err != nil {
+		return nil, err
 	}
+	rep := &Report{Platform: p, Workload: "shared"}
+	rep.fromMachine(&res.Combined)
+	out := &RunResult{Report: rep, machine: &res.Combined}
 	for i, sl := range res.PerWorkload {
 		out.Tenants = append(out.Tenants, TenantReport{
 			Workload: names[i],

@@ -3,6 +3,7 @@ package beacon
 import (
 	"fmt"
 
+	"beacon/internal/core"
 	"beacon/internal/obs"
 )
 
@@ -17,6 +18,7 @@ type runSettings struct {
 	setFaults bool
 	shared    bool
 	coRun     []*Workload
+	tune      func(*core.Config)
 }
 
 // WithObserver attaches an observability sink: component metrics, activity
@@ -51,6 +53,13 @@ func WithCoRun(ws ...*Workload) RunOption {
 	}
 }
 
+// withMachineTweak adjusts the BEACON machine configuration a run builds
+// (an ablation point's swept knob). The baselines ignore it. It stays
+// unexported: no RunSpec, report or hash can express it.
+func withMachineTweak(tune func(*core.Config)) RunOption {
+	return func(s *runSettings) { s.tune = tune }
+}
+
 // RunResult is the outcome of one Run.
 type RunResult struct {
 	// Report summarizes the run: the workload's own report for a
@@ -60,6 +69,9 @@ type RunResult struct {
 	// Tenants lists per-workload completions for co-located runs (nil for
 	// single-tenant runs).
 	Tenants []TenantReport
+	// machine is the BEACON machine's own result (nil for the baselines),
+	// for the ablation metrics Report does not carry.
+	machine *core.Result
 }
 
 // Run replays the workload on the platform; it is the one entry point for
@@ -83,11 +95,7 @@ func Run(p Platform, w *Workload, opts ...RunOption) (*RunResult, error) {
 		if s.ob != nil {
 			return nil, fmt.Errorf("%w: co-located runs do not support an observer", ErrBadConfig)
 		}
-		return simulateShared(p, append([]*Workload{w}, s.coRun...))
+		return simulateShared(p, append([]*Workload{w}, s.coRun...), &s)
 	}
-	rep, err := simulateOne(p, w, s.ob)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{Report: rep}, nil
+	return simulateOne(p, w, &s)
 }

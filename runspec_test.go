@@ -278,6 +278,34 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 }
 
+// TestCoRunInjectsFaults pins that a co-located run honours its fault
+// profile: the heavy profile injects faults, reports them, and moves the
+// makespan away from the fault-free run.
+func TestCoRunInjectsFaults(t *testing.T) {
+	t.Parallel()
+	run := func(faults string) *Report {
+		s := quickSpec()
+		s.Faults = faults
+		s.FaultSeed = 7
+		s.CoRun = []WorkloadSpec{{App: PreAlignment, Config: quickCfg(PinusTaeda)}}
+		res, err := s.Execute(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report
+	}
+	off, heavy := run("off"), run("heavy")
+	if n := off.Faults.Total(); n != 0 {
+		t.Errorf("fault-free co-run reports %d faults", n)
+	}
+	if heavy.Faults.Total() == 0 {
+		t.Error("heavy co-run reports no injected faults")
+	}
+	if heavy.Cycles == off.Cycles {
+		t.Errorf("heavy co-run took %d cycles, the same as the fault-free run", heavy.Cycles)
+	}
+}
+
 // TestRunSpecExecuteMatchesRun pins the tentpole equivalence: a spec run
 // through Execute produces results identical to hand-assembling the
 // Platform and calling Run — including under fault injection and with a
